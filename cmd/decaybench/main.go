@@ -184,6 +184,9 @@ func runBench(outPath string, n int, large, serve bool, allocCheck string) error
 	record("zeta/per-pair", n, func() { core.ZetaPerPair(space, 1e-12) })
 	record("zeta/batched", n, func() { core.Zeta(space) })
 	record("varphi/batched", n, func() { core.Varphi(space) })
+	if err := benchZetaUrban(record); err != nil {
+		return err
+	}
 	record("affectance/per-pair", nLinks, func() { buildAffectancePerPair(sys, p) })
 	record("affectance/batched", nLinks, func() { sinr.ComputeAffectances(sys, p) })
 	all := capacity.AllLinks(sys)
@@ -483,6 +486,25 @@ func checkAllocs(path string, results []benchResult) error {
 // recorded shard/zeta and shard/ingest rows (shard/zeta-k1 and -k2/-k4
 // rows trace the scaling curve below it).
 const shardBenchK = 8
+
+// zetaUrbanN is the fixed size of the zeta/urban1024 row: the n=1024
+// "urban" instance of a dense exact session.
+const zetaUrbanN = 1024
+
+// benchZetaUrban records zeta/urban1024, a cold exact ζ scan of the dense
+// n=1024 "urban" matrix at any -benchn. Each op pays everything an exact
+// session's first ζ pays past materialization — the log matrix, the row
+// extrema and the pruned tile scan — so the threshold gate on it catches
+// a kernel that loses its prunes.
+func benchZetaUrban(record func(op string, size int, fn func())) error {
+	inst, err := scenario.Build("urban", scenario.Config{Nodes: zetaUrbanN, Links: 256, Side: 1024, Seed: 7})
+	if err != nil {
+		return err
+	}
+	m := core.Dense(inst.Space)
+	record("zeta/urban1024", zetaUrbanN, func() { core.Zeta(m) })
+	return nil
+}
 
 // tierBytesN is the fixed acceptance size of the tier/bytes row: 4096
 // nodes, where a dense float64 matrix pins 128 MiB and the model-tail

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"decaynet/internal/par"
 )
@@ -284,68 +283,8 @@ func (t *ZetaTracker) rescan(ctx context.Context) error {
 // serves mutated, generally asymmetric sessions).
 func (t *ZetaTracker) fullMax(ctx context.Context) (float64, error) {
 	st := t.st
-	n := st.n
-	var bestBits uint64Max
-	bestBits.store(DefaultZetaFloor)
-	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, zlo, zhi int) {
-		local := bestBits.load()
-		invT := 1 / local
-		amgm := 2 * math.Ln2 * local
-		for x := xlo; x < xhi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := st.logs[x*n : (x+1)*n]
-			maxX := st.rowMax[x]
-			if g := bestBits.load(); g > local {
-				local = g
-				invT = 1 / local
-				amgm = 2 * math.Ln2 * local
-			}
-			for z := zlo; z < zhi; z++ {
-				if z == x {
-					continue
-				}
-				b := rowX[z]
-				if b+st.rowMin[z]+amgm >= 2*maxX {
-					continue
-				}
-				if math.Exp((b-maxX)*invT)+math.Exp((st.rowMin[z]-maxX)*invT) >= 1 {
-					continue
-				}
-				rowZ := st.logs[z*n : (z+1)*n]
-				aMin := (b + st.rowMin[z] + amgm) / 2
-				for y := 0; y < n; y++ {
-					if y == x || y == z {
-						continue
-					}
-					a := rowX[y]
-					if a <= aMin {
-						continue
-					}
-					c := rowZ[y]
-					if a <= c || b+c+amgm >= 2*a {
-						continue
-					}
-					if math.Exp((b-a)*invT)+math.Exp((c-a)*invT) >= 1 {
-						continue
-					}
-					if zt := zetaTriplet(a, b, c, st.tol); zt > local {
-						local = zt
-						invT = 1 / local
-						amgm = 2 * math.Ln2 * local
-						aMin = (b + st.rowMin[z] + amgm) / 2
-						bestBits.storeMax(zt)
-					}
-				}
-			}
-		}
-		bestBits.storeMax(local)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return bestBits.load(), nil
+	scan := newMaxScan(denseRows(st.logs, st.n), st.rowMax, st.rowMin, false, st.tol, DefaultZetaFloor)
+	return scan.parallel(ctx, (*maxScan).zetaTile)
 }
 
 // VarphiTracker maintains the variant parameter ϕ = max f(x,z) /
@@ -510,56 +449,8 @@ func (t *VarphiTracker) rescan(ctx context.Context) error {
 // kernel minus the symmetric halving.
 func (t *VarphiTracker) fullMax(ctx context.Context) (float64, error) {
 	st := t.st
-	n := st.n
-	var bestBits uint64Max
-	bestBits.store(varphiFloorValue)
-	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, ylo, yhi int) {
-		best := bestBits.load()
-		for x := xlo; x < xhi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := st.m.row(x)
-			maxX := st.rowMaxF[x]
-			if g := bestBits.load(); g > best {
-				best = g
-			}
-			for y := ylo; y < yhi; y++ {
-				if y == x {
-					continue
-				}
-				fxy := rowX[y]
-				if maxX <= best*(fxy+st.rowMinF[y]) {
-					continue
-				}
-				rowY := st.m.row(y)
-				for z := 0; z < n; z++ {
-					if z == x || z == y {
-						continue
-					}
-					if r := rowX[z] / (fxy + rowY[z]); r > best {
-						best = r
-						bestBits.storeMax(r)
-					}
-				}
-			}
-		}
-		bestBits.storeMax(best)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return bestBits.load(), nil
-}
-
-// uint64Max is a small atomic float64 running-maximum (the shared-progress
-// cell of the tiled scans).
-type uint64Max struct{ bits atomic.Uint64 }
-
-func (u *uint64Max) store(v float64) { u.bits.Store(math.Float64bits(v)) }
-func (u *uint64Max) load() float64   { return math.Float64frombits(u.bits.Load()) }
-func (u *uint64Max) storeMax(v float64) {
-	storeMax(&u.bits, v)
+	scan := newMaxScan(denseRows(st.m.f, st.n), st.rowMaxF, st.rowMinF, false, 0, varphiFloorValue)
+	return scan.parallel(ctx, (*maxScan).varphiTile)
 }
 
 // colMinima returns the smallest off-diagonal entry of each column of an

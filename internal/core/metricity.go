@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync/atomic"
 
 	"decaynet/internal/par"
 )
@@ -27,20 +26,21 @@ func Zeta(d Space) float64 {
 // ZetaTol is Zeta with an explicit relative bisection tolerance (used by the
 // bisection-tolerance ablation).
 //
-// The scan is batch-first and cache-blocked: the log-decay matrix is
-// materialized once via the RowSpace contract (no per-element interface
-// calls) and the O(n³) triplet loop runs as (x,z)-tile kernels on the
-// shared worker pool (par.ForTiles), so each decay row is streamed O(n/tile)
-// times instead of O(n). Two prune levels keep most triplets out of the
-// bisection: a whole-row test pairs each (x,z) with the precomputed
-// per-row extrema — if even the strongest possible triplet (largest
-// ln f(x,y), smallest ln f(z,y)) satisfies the inequality at the current
-// best ζ, the entire y-loop is skipped — and surviving triplets are still
-// screened individually against the running maximum. Spaces certifying
-// exact symmetry through the Symmetric marker scan only ordered pairs
-// x < y, halving the triplet set (ζ is invariant under swapping the
-// endpoints when f is symmetric). The result equals the per-pair reference
-// up to bisection tolerance.
+// The scan is batch-first and cache-blocked: the log-decay matrix and its
+// per-row extrema are materialized once via the RowSpace contract (no
+// per-element interface calls) and the O(n³) triplet loop runs as (x,z)
+// tiles of the shared ζ kernel (zetaTile) on the worker pool, so each
+// decay row is streamed O(n/tile) times instead of O(n). The kernel keeps
+// almost every triplet out of the bisection with one prune chain, each
+// test checked against the running maximum: an AM-GM bound and then the
+// exact inequality on the strongest triplet an (x,z) pair can field
+// (largest ln f(x,y), smallest ln f(z,y)) discharge the whole y-loop; a
+// per-y AM-GM cut on ln f(x,y) alone, an AM-GM bound on the full triplet
+// and the exact inequality then screen the survivors one by one. Spaces
+// certifying exact symmetry through the Symmetric marker scan only
+// ordered pairs x < y, halving the triplet set (ζ is invariant under
+// swapping the endpoints when f is symmetric). The result equals the
+// per-pair reference up to bisection tolerance.
 func ZetaTol(d Space, tol float64) float64 {
 	z, _ := ZetaTolCtx(context.Background(), d, tol)
 	return z
@@ -57,70 +57,8 @@ func ZetaTolCtx(ctx context.Context, d Space, tol float64) (float64, error) {
 	}
 	logs := logMatrix(d)
 	rowMax, rowMin := rowExtrema(logs, n)
-	sym := KnownSymmetric(d)
-	var bestBits atomic.Uint64
-	bestBits.Store(math.Float64bits(DefaultZetaFloor))
-	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, zlo, zhi int) {
-		local := math.Float64frombits(bestBits.Load())
-		t := 1 / local
-		for x := xlo; x < xhi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := logs[x*n : (x+1)*n]
-			maxX := rowMax[x]
-			yStart := 0
-			if sym {
-				yStart = x + 1 // (x,y) and (y,x) triplets coincide
-			}
-			if g := math.Float64frombits(bestBits.Load()); g > local {
-				local = g // adopt other workers' progress for pruning
-				t = 1 / local
-			}
-			for z := zlo; z < zhi; z++ {
-				if z == x {
-					continue
-				}
-				b := rowX[z] // ln f(x,z)
-				// Whole-row prune: the strongest triplet this (x,z) pair can
-				// field combines the largest a = ln f(x,y) with the smallest
-				// c = ln f(z,y). If even that satisfies the inequality at the
-				// current best ζ, no y can raise the maximum.
-				if math.Exp((b-maxX)*t)+math.Exp((rowMin[z]-maxX)*t) >= 1 {
-					continue
-				}
-				rowZ := logs[z*n : (z+1)*n]
-				for y := yStart; y < n; y++ {
-					if y == x || y == z {
-						continue
-					}
-					a := rowX[y] // ln f(x,y)
-					if a <= b {
-						continue // right side dominates at every ζ
-					}
-					c := rowZ[y] // ln f(z,y)
-					if a <= c {
-						continue
-					}
-					// Satisfied at the current best ζ ⇒ this triplet's ζ
-					// cannot raise the maximum; skip the bisection.
-					if math.Exp((b-a)*t)+math.Exp((c-a)*t) >= 1 {
-						continue
-					}
-					if zt := zetaTriplet(a, b, c, tol); zt > local {
-						local = zt
-						t = 1 / local
-						storeMax(&bestBits, zt)
-					}
-				}
-			}
-		}
-		storeMax(&bestBits, local)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(bestBits.Load()), nil
+	s := newMaxScan(denseRows(logs, n), rowMax, rowMin, KnownSymmetric(d), tol, DefaultZetaFloor)
+	return s.parallel(ctx, (*maxScan).zetaTile)
 }
 
 // tripletTile returns the (x,z) tile edge for an n-node triplet scan: small
@@ -212,19 +150,6 @@ func logMatrix(d Space) []float64 {
 		}
 	})
 	return logs
-}
-
-// storeMax raises the float64 packed in bits to v if v is larger.
-func storeMax(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
 }
 
 // ZetaTriplet returns the smallest ζ at which the triplet with decays
@@ -330,11 +255,11 @@ func SatisfiesZeta(d Space, zeta, tol float64) bool {
 // (attained when all decays are equal). Requires n ≥ 3; smaller spaces
 // return 1/2.
 //
-// Like ZetaTol, the scan is a cache-blocked (x,y)-tile kernel on the
-// shared worker pool: per-row decay extrema discharge whole (x,y) pairs
-// whose best possible ratio max_z f(x,z)/(f(x,y)+min_z f(y,z)) cannot beat
-// the running maximum, and exactly symmetric spaces scan only x < z (the
-// ratio is invariant under swapping the endpoints).
+// Like ZetaTol, the scan runs (x,y) tiles of the shared ϕ kernel
+// (varphiTile) on the worker pool: per-row decay extrema discharge whole
+// (x,y) pairs whose best possible ratio max_z f(x,z)/(f(x,y)+min_z f(y,z))
+// cannot beat the running maximum, and exactly symmetric spaces scan only
+// x < z (the ratio is invariant under swapping the endpoints).
 func Varphi(d Space) float64 {
 	v, _ := VarphiCtx(context.Background(), d)
 	return v
@@ -349,53 +274,9 @@ func VarphiCtx(ctx context.Context, d Space) (float64, error) {
 		return 0.5, ctx.Err()
 	}
 	m := Dense(d)
-	sym := m.Symmetric()
-	rowMaxF, rowMinF := rowExtrema(m.f, m.n)
-	var bestBits atomic.Uint64
-	bestBits.Store(math.Float64bits(0.5))
-	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, ylo, yhi int) {
-		best := math.Float64frombits(bestBits.Load())
-		for x := xlo; x < xhi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := m.row(x) // f(x,·)
-			maxX := rowMaxF[x]
-			zStart := 0
-			if sym {
-				zStart = x + 1 // (x,·,z) and (z,·,x) ratios coincide
-			}
-			if g := math.Float64frombits(bestBits.Load()); g > best {
-				best = g // adopt other workers' progress for pruning
-			}
-			for y := ylo; y < yhi; y++ {
-				if y == x {
-					continue
-				}
-				fxy := rowX[y]
-				// Whole-row prune: even the largest numerator over the
-				// smallest denominator cannot beat the running maximum.
-				if maxX <= best*(fxy+rowMinF[y]) {
-					continue
-				}
-				rowY := m.row(y) // f(y,·)
-				for z := zStart; z < n; z++ {
-					if z == x || z == y {
-						continue
-					}
-					if r := rowX[z] / (fxy + rowY[z]); r > best {
-						best = r
-						storeMax(&bestBits, r)
-					}
-				}
-			}
-		}
-		storeMax(&bestBits, best)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(bestBits.Load()), nil
+	rowMaxF, rowMinF := rowExtrema(m.f, n)
+	s := newMaxScan(denseRows(m.f, n), rowMaxF, rowMinF, m.Symmetric(), 0, varphiFloorValue)
+	return s.parallel(ctx, (*maxScan).varphiTile)
 }
 
 // VarphiPerPair is the serial, per-element reference implementation of

@@ -203,7 +203,7 @@ func (f funcSpace) F(i, j int) float64 {
 func TestZetaSampledLowerBoundsExact(t *testing.T) {
 	m := randomSpace(t, 21, 12, 0.5, 40)
 	exact := Zeta(m)
-	sampled := ZetaSampled(m, 20000, rng.New(1))
+	sampled := ZetaSampledEstimate(m, 20000, rng.New(1)).Value
 	if sampled > exact*(1+1e-9) {
 		t.Fatalf("sampled %v exceeds exact %v", sampled, exact)
 	}
@@ -216,50 +216,26 @@ func TestZetaSampledLowerBoundsExact(t *testing.T) {
 
 func TestZetaSampledTinySpace(t *testing.T) {
 	two, _ := NewMatrix([][]float64{{0, 5}, {9, 0}})
-	if z := ZetaSampled(two, 100, rng.New(1)); z != DefaultZetaFloor {
-		t.Errorf("tiny sampled zeta = %v", z)
+	if est := ZetaSampledEstimate(two, 100, rng.New(1)); est.Value != DefaultZetaFloor || est.Evaluated != 0 {
+		t.Errorf("tiny sampled zeta = %+v", est)
 	}
 }
 
-// TestDistinctTripletAlwaysDistinct: the redraw loop (the fix for the
-// silent sample loss of skipped collisions) yields pairwise-distinct
-// indices every draw, including at the minimum n = 3 where two thirds of
-// naive draws collide.
-func TestDistinctTripletAlwaysDistinct(t *testing.T) {
-	for _, n := range []int{3, 4, 10} {
-		src := rng.New(uint64(n))
-		seen := make(map[[3]int]bool)
-		// 20000 draws: comfortably past the ~5160-draw coupon-collector
-		// expectation for n=10's 720 ordered triplets, so the exact-coverage
-		// assertion is robust to rng-stream changes, not seed luck.
-		for s := 0; s < 20000; s++ {
-			x, y, z := distinctTriplet(src, n)
-			if x == y || y == z || x == z {
-				t.Fatalf("n=%d: collision (%d,%d,%d)", n, x, y, z)
-			}
-			if x < 0 || x >= n || y < 0 || y >= n || z < 0 || z >= n {
-				t.Fatalf("n=%d: out of range (%d,%d,%d)", n, x, y, z)
-			}
-			seen[[3]int{x, y, z}] = true
-		}
-		// All n(n-1)(n-2) ordered triplets should appear.
-		if want := n * (n - 1) * (n - 2); len(seen) != want {
-			t.Errorf("n=%d: %d distinct triplets drawn, want %d", n, len(seen), want)
-		}
-	}
-}
-
-// TestZetaSampledFullBudget: with the redraw fix, a modest budget on n=3
-// (where naive sampling loses ~78%% of draws to collisions) pins the exact
-// ζ — every sample evaluates a real triplet and only 6 exist.
+// TestZetaSampledFullBudget: on n=3 every draw is a real triplet (the
+// third index is redrawn until distinct), so a budget of 64 strata covers
+// all 6 ordered triplets and pins the exact ζ.
 func TestZetaSampledFullBudget(t *testing.T) {
 	m, err := NewMatrix([][]float64{{0, 1, 200}, {1, 0, 10}, {200, 10, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := Zeta(m)
-	if got := ZetaSampled(m, 100, rng.New(3)); math.Abs(got-exact) > 1e-9*exact {
-		t.Fatalf("sampled %v != exact %v on n=3", got, exact)
+	est := ZetaSampledEstimate(m, 64*sampleRowBlock, rng.New(3))
+	if est.Evaluated != 64*sampleRowBlock {
+		t.Fatalf("evaluated %d triplets, want %d", est.Evaluated, 64*sampleRowBlock)
+	}
+	if math.Abs(est.Value-exact) > 1e-9*exact {
+		t.Fatalf("sampled %v != exact %v on n=3", est.Value, exact)
 	}
 }
 

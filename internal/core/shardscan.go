@@ -146,75 +146,16 @@ func (s *ZetaScanState) refreshRow(x int) {
 // first index lies in [xlo, xhi) — the shard-sized partial reduction whose
 // max-merge over a row partition equals the full scan. The scan is serial
 // (one shard = one goroutine; parallelism comes from the number of shards)
-// but cache-blocked over z like the tiled kernels, and polls ctx per row.
-// sym certifies exact decay symmetry: the y-loop then starts at x+1,
-// halving the triplet set exactly as ZetaTol does.
+// but runs the same cache-blocked ζ kernel as ZetaTol, one z-tile at a
+// time, and polls ctx per row. sym certifies exact decay symmetry: the
+// y-loop then starts at x+1, halving the triplet set exactly as ZetaTol
+// does.
 func (s *ZetaScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	best := DefaultZetaFloor
 	if s.n < 3 || xlo >= xhi {
-		return best, ctx.Err()
+		return DefaultZetaFloor, ctx.Err()
 	}
-	n := s.n
-	invT := 1 / best
-	amgm := 2 * math.Ln2 * best
-	tile := tripletTile(n)
-	if tile <= 0 {
-		tile = n
-	}
-	for ztile := 0; ztile < n; ztile += tile {
-		zhi := ztile + tile
-		if zhi > n {
-			zhi = n
-		}
-		for x := xlo; x < xhi; x++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			rowX := s.logs[x*n : (x+1)*n]
-			maxX := s.rowMax[x]
-			yStart := 0
-			if sym {
-				yStart = x + 1
-			}
-			for z := ztile; z < zhi; z++ {
-				if z == x {
-					continue
-				}
-				b := rowX[z]
-				if b+s.rowMin[z]+amgm >= 2*maxX {
-					continue
-				}
-				if math.Exp((b-maxX)*invT)+math.Exp((s.rowMin[z]-maxX)*invT) >= 1 {
-					continue
-				}
-				rowZ := s.logs[z*n : (z+1)*n]
-				aMin := (b + s.rowMin[z] + amgm) / 2
-				for y := yStart; y < n; y++ {
-					if y == x || y == z {
-						continue
-					}
-					a := rowX[y]
-					if a <= aMin {
-						continue
-					}
-					c := rowZ[y]
-					if a <= c || b+c+amgm >= 2*a {
-						continue
-					}
-					if math.Exp((b-a)*invT)+math.Exp((c-a)*invT) >= 1 {
-						continue
-					}
-					if zt := zetaTriplet(a, b, c, s.tol); zt > best {
-						best = zt
-						invT = 1 / best
-						amgm = 2 * math.Ln2 * best
-						aMin = (b + s.rowMin[z] + amgm) / 2
-					}
-				}
-			}
-		}
-	}
-	return best, nil
+	scan := newMaxScan(denseRows(s.logs, s.n), s.rowMax, s.rowMin, sym, s.tol, DefaultZetaFloor)
+	return scan.serial(ctx, xlo, xhi, (*maxScan).zetaTile)
 }
 
 // CollectRange returns every ordered triplet with first index in
@@ -454,51 +395,11 @@ func (s *VarphiScanState) refreshRowF(x int) {
 // ZetaScanState.MaxRange). sym halves the scan on exactly symmetric spaces
 // (z starts at x+1, as in Varphi).
 func (s *VarphiScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	best := varphiFloorValue
 	if s.n < 3 || xlo >= xhi {
-		return best, ctx.Err()
+		return varphiFloorValue, ctx.Err()
 	}
-	n := s.n
-	tile := tripletTile(n)
-	if tile <= 0 {
-		tile = n
-	}
-	for ytile := 0; ytile < n; ytile += tile {
-		yhi := ytile + tile
-		if yhi > n {
-			yhi = n
-		}
-		for x := xlo; x < xhi; x++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			rowX := s.m.row(x)
-			maxX := s.rowMaxF[x]
-			zStart := 0
-			if sym {
-				zStart = x + 1
-			}
-			for y := ytile; y < yhi; y++ {
-				if y == x {
-					continue
-				}
-				fxy := rowX[y]
-				if maxX <= best*(fxy+s.rowMinF[y]) {
-					continue
-				}
-				rowY := s.m.row(y)
-				for z := zStart; z < n; z++ {
-					if z == x || z == y {
-						continue
-					}
-					if r := rowX[z] / (fxy + rowY[z]); r > best {
-						best = r
-					}
-				}
-			}
-		}
-	}
-	return best, nil
+	scan := newMaxScan(denseRows(s.m.f, s.n), s.rowMaxF, s.rowMinF, sym, 0, varphiFloorValue)
+	return scan.serial(ctx, xlo, xhi, (*maxScan).varphiTile)
 }
 
 // CollectRange returns every triplet with first index in [xlo, xhi) whose

@@ -12,15 +12,13 @@ import (
 // row-streamed analogue of ZetaScanState/VarphiScanState: instead of
 // materializing the n² (log-)decay matrix it holds only the O(n) pruning
 // extrema and pages rows through a bounded tile cache (RowPager) while the
-// range scans run. Every triplet value still comes from the same
-// deterministic per-triplet functions evaluated on the same float64 decays,
-// and the scan visits triplets in the same order with the same pruning
-// bounds as the dense range kernels, so per-range maxima merge bit-identically
-// with ZetaScanState.MaxRange / VarphiScanState.MaxRange — and therefore
-// with the unsharded ZetaTol / Varphi scans. This is what lets
-// internal/shard row-range jobs run on spaces that never fit dense float64
-// (see internal/tier): a worker's working set is maxTiles·tileRows rows,
-// not n².
+// range scans run. The range scans are the dense ones with a paged row
+// source: the same ζ/ϕ kernels (maxscan.go) over the same float64 decays,
+// so per-range maxima merge bit-identically with ZetaScanState.MaxRange /
+// VarphiScanState.MaxRange — and therefore with the unsharded ZetaTol /
+// Varphi scans. This is what lets internal/shard row-range jobs run on
+// spaces that never fit dense float64 (see internal/tier): a worker's
+// working set is maxTiles·tileRows rows, not n².
 
 // Default paging geometry for streamed scans: tiles of 256 rows, at most 4
 // resident per scan. A ζ range scan touches one x-band and one z-tile at a
@@ -253,131 +251,29 @@ func NewStreamScanFrom(rs RowSpace, tol float64, tileRows, maxTiles int, ex Stre
 
 // ZetaMaxRange returns the exact ζ maximum over the ordered triplets whose
 // first index lies in [xlo, xhi), streaming log-decay rows through a
-// private pager instead of reading a materialized log matrix. The scan
-// mirrors ZetaScanState.MaxRange statement for statement — same triplet
-// order, same pruning bounds, same zetaTriplet evaluations — so its result
-// is bit-identical and per-range maxima max-merge exactly as the dense
-// shard scans do. sym certifies exact decay symmetry (y starts at x+1).
+// private pager instead of reading a materialized log matrix. It runs the
+// same ζ kernel as ZetaScanState.MaxRange over the same z-tiles, so its
+// result is bit-identical and per-range maxima max-merge exactly as the
+// dense shard scans do. sym certifies exact decay symmetry (y starts at
+// x+1).
 func (s *StreamScan) ZetaMaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	best := DefaultZetaFloor
 	if s.n < 3 || xlo >= xhi {
-		return best, ctx.Err()
+		return DefaultZetaFloor, ctx.Err()
 	}
-	n := s.n
-	invT := 1 / best
-	amgm := 2 * math.Ln2 * best
-	tile := tripletTile(n)
-	if tile <= 0 {
-		tile = n
-	}
-	pager := NewRowPager(s.rs, s.tileRows, s.maxTiles, lnRow)
-	rowX := make([]float64, n) // pinned copy: z-row faults may evict x's tile
-	for ztile := 0; ztile < n; ztile += tile {
-		zhi := ztile + tile
-		if zhi > n {
-			zhi = n
-		}
-		for x := xlo; x < xhi; x++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			copy(rowX, pager.Row(x))
-			maxX := s.logMax[x]
-			yStart := 0
-			if sym {
-				yStart = x + 1
-			}
-			for z := ztile; z < zhi; z++ {
-				if z == x {
-					continue
-				}
-				b := rowX[z]
-				if b+s.logMin[z]+amgm >= 2*maxX {
-					continue
-				}
-				if math.Exp((b-maxX)*invT)+math.Exp((s.logMin[z]-maxX)*invT) >= 1 {
-					continue
-				}
-				rowZ := pager.Row(z)
-				aMin := (b + s.logMin[z] + amgm) / 2
-				for y := yStart; y < n; y++ {
-					if y == x || y == z {
-						continue
-					}
-					a := rowX[y]
-					if a <= aMin {
-						continue
-					}
-					c := rowZ[y]
-					if a <= c || b+c+amgm >= 2*a {
-						continue
-					}
-					if math.Exp((b-a)*invT)+math.Exp((c-a)*invT) >= 1 {
-						continue
-					}
-					if zt := zetaTriplet(a, b, c, s.tol); zt > best {
-						best = zt
-						invT = 1 / best
-						amgm = 2 * math.Ln2 * best
-						aMin = (b + s.logMin[z] + amgm) / 2
-					}
-				}
-			}
-		}
-	}
-	return best, nil
+	rows := pagedRows(NewRowPager(s.rs, s.tileRows, s.maxTiles, lnRow), s.n)
+	scan := newMaxScan(rows, s.logMax, s.logMin, sym, s.tol, DefaultZetaFloor)
+	return scan.serial(ctx, xlo, xhi, (*maxScan).zetaTile)
 }
 
 // VarphiMaxRange returns the exact ϕ maximum over triplets with first index
-// in [xlo, xhi), streaming raw decay rows — the ϕ analogue of ZetaMaxRange,
-// mirroring VarphiScanState.MaxRange bit for bit. sym halves the scan on
-// exactly symmetric spaces (z starts at x+1).
+// in [xlo, xhi), streaming raw decay rows — the ϕ analogue of ZetaMaxRange
+// over the ϕ kernel. sym halves the scan on exactly symmetric spaces
+// (z starts at x+1).
 func (s *StreamScan) VarphiMaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	best := varphiFloorValue
 	if s.n < 3 || xlo >= xhi {
-		return best, ctx.Err()
+		return varphiFloorValue, ctx.Err()
 	}
-	n := s.n
-	tile := tripletTile(n)
-	if tile <= 0 {
-		tile = n
-	}
-	pager := NewRowPager(s.rs, s.tileRows, s.maxTiles, nil)
-	rowX := make([]float64, n)
-	for ytile := 0; ytile < n; ytile += tile {
-		yhi := ytile + tile
-		if yhi > n {
-			yhi = n
-		}
-		for x := xlo; x < xhi; x++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			copy(rowX, pager.Row(x))
-			maxX := s.fMax[x]
-			zStart := 0
-			if sym {
-				zStart = x + 1
-			}
-			for y := ytile; y < yhi; y++ {
-				if y == x {
-					continue
-				}
-				fxy := rowX[y]
-				if maxX <= best*(fxy+s.fMin[y]) {
-					continue
-				}
-				rowY := pager.Row(y)
-				for z := zStart; z < n; z++ {
-					if z == x || z == y {
-						continue
-					}
-					if r := rowX[z] / (fxy + rowY[z]); r > best {
-						best = r
-					}
-				}
-			}
-		}
-	}
-	return best, nil
+	rows := pagedRows(NewRowPager(s.rs, s.tileRows, s.maxTiles, nil), s.n)
+	scan := newMaxScan(rows, s.fMax, s.fMin, sym, 0, varphiFloorValue)
+	return scan.serial(ctx, xlo, xhi, (*maxScan).varphiTile)
 }

@@ -3,9 +3,12 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -349,5 +352,54 @@ func TestServeGracefulShutdown(t *testing.T) {
 			t.Fatal("connection survived server shutdown")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReadFrameBoundsAllocationToArrivedBytes: a length header claiming
+// the 1 GiB frame limit with no body behind it must allocate less than
+// 1 MiB, not the claimed length, and fail as a truncated frame; large
+// frames still reassemble intact, and sub-chunk frames keep one exactly
+// sized buffer.
+func TestReadFrameBoundsAllocationToArrivedBytes(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], DefaultMaxFrame)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(hdr[:]), DefaultMaxFrame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("bodiless 1 GiB frame accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("bodiless 1 GiB frame allocated %d bytes, want less than 1 MiB", got)
+	}
+
+	// A multi-chunk frame reassembles intact across the growth steps.
+	body := bytes.Repeat([]byte("0123456789abcdef"), 3*frameChunk/16+5)
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	got, err := readFrame(io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(body)), DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, body) {
+		t.Fatalf("%d-byte frame came back as %d bytes with different content", len(body), len(got))
+	}
+	// Truncated mid-body: an unexpected EOF, not a short frame.
+	trunc := io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(body[:frameChunk+10]))
+	if _, err := readFrame(trunc, DefaultMaxFrame); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	// A sub-chunk frame (a tiered Sync snapshot is ~0.7 MB) is read into
+	// one buffer of exactly its length.
+	small := body[:700_000]
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(small)))
+	got, err = readFrame(io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(small)), DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, small) || cap(got) != len(small) {
+		t.Fatalf("%d-byte frame: got %d bytes in a %d-byte buffer", len(small), len(got), cap(got))
 	}
 }

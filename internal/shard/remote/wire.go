@@ -349,20 +349,51 @@ func writeFrame(w io.Writer, v any) error {
 	return err
 }
 
+// frameChunk caps what readFrame allocates ahead of the bytes that back
+// it: a peer's length header alone can claim up to maxFrame bytes.
+const frameChunk = 1 << 20
+
 // readFrame reads one length-prefixed frame body, rejecting frames larger
-// than maxFrame.
+// than maxFrame. A frame of up to frameChunk bytes is read into one
+// exactly sized buffer. A larger one allocates frameChunk only once its
+// first body byte has arrived and doubles only as further bytes arrive,
+// so a header with no body behind it costs no buffer at all.
 func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if int64(n) > int64(maxFrame) {
-		return nil, fmt.Errorf("remote: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
+	size := binary.BigEndian.Uint32(hdr[:])
+	if int64(size) > int64(maxFrame) {
+		return nil, fmt.Errorf("remote: frame of %d bytes exceeds the %d-byte limit", size, maxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	n := int(size)
+	if n <= frameChunk {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	var first [1]byte
+	if _, err := io.ReadFull(r, first[:]); err != nil {
 		return nil, err
+	}
+	body := append(make([]byte, 0, frameChunk), first[0])
+	for len(body) < n {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(n, 2*cap(body)))
+			copy(grown, body)
+			body = grown
+		}
+		k, err := io.ReadFull(r, body[len(body):cap(body)])
+		body = body[:len(body)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the first byte already arrived
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return body, nil
 }
