@@ -217,7 +217,10 @@ type (
 	Link = sinr.Link
 	// System binds a space, links and radio parameters.
 	System = sinr.System
-	// Power is a per-link transmit power vector.
+	// Power is a per-link transmit power vector. The Engine's capacity
+	// and scheduling methods also take a vector built before a concurrent
+	// AddLinks: it answers for the links it covers, nil link sets select
+	// exactly those, and the links added since stay silent.
 	Power = sinr.Power
 	// Option configures a System.
 	Option = sinr.Option
@@ -267,15 +270,11 @@ var (
 	Varphi = core.Varphi
 	// Phi computes φ = lg ϕ.
 	Phi = core.Phi
-	// ZetaSampledBatch and VarphiSampledBatch estimate ζ and ϕ from random
-	// triplets drawn in whole-row strata on the worker pool — lower bounds
-	// for spaces beyond the exact O(n³) scans (Engine routes to them via
-	// WithApproxMetricity).
-	ZetaSampledBatch   = core.ZetaSampledBatch
-	VarphiSampledBatch = core.VarphiSampledBatch
-	// ZetaSampledEstimate and VarphiSampledEstimate are the sampled
-	// estimators with a concentration summary (Hoeffding over the scan's
-	// per-stratum maxima) alongside the point estimate.
+	// ZetaSampledEstimate and VarphiSampledEstimate estimate ζ and ϕ from
+	// random triplets drawn in whole-row strata on the worker pool — lower
+	// bounds for spaces beyond the exact O(n³) scans (Engine routes to them
+	// via WithApproxMetricity) — with a concentration summary (Hoeffding
+	// over the scan's per-stratum maxima) alongside the point estimate.
 	ZetaSampledEstimate   = core.ZetaSampledEstimate
 	VarphiSampledEstimate = core.VarphiSampledEstimate
 	// ZetaSampledTarget and VarphiSampledTarget iterate the sampled

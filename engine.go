@@ -68,9 +68,8 @@ type Engine struct {
 	// computed through the incremental trackers (repairable after Update)
 	// instead of the one-shot scans. Set by WithMutationTracking or by the
 	// first Update.
-	dynamic bool
-	zt      *core.ZetaTracker
-	vt      *core.VarphiTracker
+	dynamic  bool
+	trackers [core.NumParams]*core.Tracker
 
 	// coord, when non-nil (WithShards or WithRemoteWorkers), routes the
 	// exact ζ/ϕ scans, the dense affectance builds and the incremental
@@ -89,12 +88,10 @@ type Engine struct {
 	// (WithApproxMetricity fired: the space is at or above the size
 	// threshold). targetEps > 0 additionally iterates them, doubling the
 	// triplet budget until the Hoeffding half-width is at most targetEps.
-	// zetaSamples records the ζ estimator's triplet count and zetaEst its
-	// full concentration summary once the lazily seeded estimate has been
-	// consumed.
+	// zetaEst records the ζ estimate's concentration summary once the
+	// lazily seeded estimate has been consumed.
 	approxSamples int
 	targetEps     float64
-	zetaSamples   atomic.Int64
 	zetaEst       atomic.Pointer[core.SampledEstimate]
 
 	// φ cache: resettable (Update invalidates or repairs it), with the
@@ -203,7 +200,7 @@ func KnownZeta(z float64) EngineOption {
 }
 
 // WithApproxMetricity routes Engine.Zeta and Engine.Phi to the batched
-// sampled estimators (core.ZetaSampledBatch / core.VarphiSampledBatch,
+// sampled estimators (core.ZetaSampledEstimate / core.VarphiSampledEstimate,
 // drawing `samples` random triplets in whole-row strata on the worker
 // pool) whenever the space has at least threshold nodes. Below the
 // threshold — and by default — the exact O(n³) scans run; the sampled
@@ -532,49 +529,49 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 }
 
 // computeZeta is the engine's lazy metricity source, consulted by the
-// System on the first ζ access of each (in)validation cycle: the sampled
-// estimator above the approx threshold (iterated to the target precision
-// when one is set), the incremental tracker on mutation-tracking sessions,
-// the one-shot exact scan otherwise. Runs with System.metMu held, which
-// serializes tracker installation.
+// System on the first ζ access of each (in)validation cycle. Runs with
+// System.metMu held, which serializes tracker installation.
 func (e *Engine) computeZeta(ctx context.Context) (float64, error) {
-	if e.approxSamples > 0 {
-		var (
-			est core.SampledEstimate
-			err error
-		)
-		if e.targetEps > 0 {
-			est, err = core.ZetaSampledTarget(ctx, e.space, e.approxSamples, e.targetEps, rng.New(approxMetricitySeed))
+	z, est, err := e.compute(ctx, core.ParamZeta)
+	if est != nil {
+		e.zetaEst.Store(est)
+	}
+	return z, err
+}
+
+// compute produces p along the session's one route: the sampled
+// estimator above the approx threshold (iterated to the target precision
+// when one is set; est is its summary), otherwise the exact value — from
+// a tracker on mutation-tracking sessions (seeded through the coordinator
+// when sharded), else from the coordinator's sharded scan or the one-shot
+// scan.
+func (e *Engine) compute(ctx context.Context, p core.Param) (v float64, est *core.SampledEstimate, err error) {
+	switch {
+	case e.approxSamples > 0:
+		// ζ draws from approxMetricitySeed, ϕ from the next seed.
+		s, err := core.SampledCtx(ctx, p, e.space, e.approxSamples, e.targetEps, rng.New(approxMetricitySeed+uint64(p)))
+		if err != nil {
+			return 0, nil, err
+		}
+		return s.Value, &s, nil
+	case e.dynamic:
+		var t *core.Tracker
+		if e.coord != nil {
+			t, err = e.coord.Tracker(ctx, p)
 		} else {
-			est, err = core.ZetaSampledEstimateCtx(ctx, e.space, e.approxSamples, rng.New(approxMetricitySeed))
+			t, err = core.NewTracker(ctx, p, e.matrix, 1e-12)
 		}
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
-		e.zetaSamples.Store(int64(est.Evaluated))
-		e.zetaEst.Store(&est)
-		return est.Value, nil
+		e.trackers[p] = t
+		return t.Value(), nil, nil
+	case e.coord != nil:
+		v, err = e.coord.Max(ctx, p)
+	default:
+		v, err = core.MaxCtx(ctx, p, e.space, 1e-12)
 	}
-	if e.coord != nil {
-		if e.dynamic {
-			zt, err := e.coord.ZetaTracker(ctx)
-			if err != nil {
-				return 0, err
-			}
-			e.zt = zt
-			return zt.Zeta(), nil
-		}
-		return e.coord.Zeta(ctx)
-	}
-	if e.dynamic {
-		zt, err := core.NewZetaTracker(ctx, e.matrix, 1e-12)
-		if err != nil {
-			return 0, err
-		}
-		e.zt = zt
-		return zt.Zeta(), nil
-	}
-	return core.ZetaTolCtx(ctx, e.space, 1e-12)
+	return v, nil, err
 }
 
 // Shards returns the shard count of the session's row-range coordinator,
@@ -716,50 +713,11 @@ func (e *Engine) PhiCtx(ctx context.Context) (float64, error) {
 	if e.phiOK {
 		return e.phi, nil
 	}
-	var vphi float64
-	switch {
-	case e.approxSamples > 0:
-		var (
-			est core.SampledEstimate
-			err error
-		)
-		if e.targetEps > 0 {
-			est, err = core.VarphiSampledTarget(ctx, e.space, e.approxSamples, e.targetEps, rng.New(approxMetricitySeed+1))
-		} else {
-			est, err = core.VarphiSampledEstimateCtx(ctx, e.space, e.approxSamples, rng.New(approxMetricitySeed+1))
-		}
-		if err != nil {
-			return 0, err
-		}
-		e.phiEst = &est
-		vphi = est.Value
-	case e.coord != nil && e.dynamic:
-		vt, err := e.coord.VarphiTracker(ctx)
-		if err != nil {
-			return 0, err
-		}
-		e.vt = vt
-		vphi = vt.Varphi()
-	case e.coord != nil:
-		var err error
-		vphi, err = e.coord.Varphi(ctx)
-		if err != nil {
-			return 0, err
-		}
-	case e.dynamic:
-		vt, err := core.NewVarphiTracker(ctx, e.matrix)
-		if err != nil {
-			return 0, err
-		}
-		e.vt = vt
-		vphi = vt.Varphi()
-	default:
-		var err error
-		vphi, err = core.VarphiCtx(ctx, e.space)
-		if err != nil {
-			return 0, err
-		}
+	vphi, est, err := e.compute(ctx, core.ParamVarphi)
+	if err != nil {
+		return 0, err
 	}
+	e.phiEst = est
 	e.phi = math.Log2(vphi)
 	e.phiOK = true
 	return e.phi, nil
@@ -771,7 +729,8 @@ func (e *Engine) PhiCtx(ctx context.Context) (float64, error) {
 // estimate drew (0 until Zeta is first consumed, and always 0 when ζ came
 // from KnownZeta or the scenario).
 func (e *Engine) MetricityApproximate() (bool, int) {
-	return e.approxSamples > 0, int(e.zetaSamples.Load())
+	est, _ := e.ZetaEstimate()
+	return e.approxSamples > 0, est.Evaluated
 }
 
 // ZetaEstimate returns the sampled ζ estimate's concentration summary
@@ -871,6 +830,46 @@ func (e *Engine) orAll(links []int) []int {
 	return links
 }
 
+// powered resolves a power vector and a link set (nil = all) against the
+// current links. Link edits keep the surviving links in order and append
+// new ones, so a vector built before a concurrent AddLinks — a reader
+// that called UniformPower and lost the lock to an Update before using
+// it — covers a prefix of today's links. Such a vector still answers for
+// the links it covers: nil selects exactly those, and the uncovered links
+// stay silent. SINR counts only the links that transmit, so the filler
+// power the uncovered links get here is never read; a link set naming
+// one of them is an error. Any other vector passes through unchanged.
+// Callers hold mu.
+func (e *Engine) powered(p Power, links []int) (Power, []int, error) {
+	n := e.sys.Len()
+	if len(p) >= n {
+		return p, e.orAll(links), nil
+	}
+	if links == nil {
+		links = make([]int, len(p))
+		for i := range links {
+			links[i] = i
+		}
+	}
+	for _, v := range links {
+		if v >= len(p) {
+			return nil, nil, fmt.Errorf("decaynet: link %d has no entry in a power vector of %d", v, len(p))
+		}
+	}
+	// Fill with the last entry, so a uniform vector stays uniform and
+	// shares the affectance cache with vectors built after the edit.
+	fill := 1.0
+	if len(p) > 0 {
+		fill = p[len(p)-1]
+	}
+	full := make(Power, n)
+	copy(full, p)
+	for i := len(p); i < n; i++ {
+		full[i] = fill
+	}
+	return full, links, nil
+}
+
 // Capacity runs the paper's Algorithm 1 (Theorem 5) on the given links
 // (nil = all) under power p.
 func (e *Engine) Capacity(p Power, links []int) []int {
@@ -885,34 +884,54 @@ func (e *Engine) Capacity(p Power, links []int) []int {
 func (e *Engine) CapacityCtx(ctx context.Context, p Power, links []int) ([]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return capacity.Algorithm1Ctx(ctx, e.sys, p, e.orAll(links))
+	p, links, err := e.powered(p, links)
+	if err != nil {
+		return nil, err
+	}
+	return capacity.Algorithm1Ctx(ctx, e.sys, p, links)
 }
 
 // GreedyCapacity runs the general-metric baseline.
 func (e *Engine) GreedyCapacity(p Power, links []int) []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return capacity.GreedyGeneral(e.sys, p, e.orAll(links))
+	p, links, err := e.powered(p, links)
+	if err != nil {
+		return nil
+	}
+	return capacity.GreedyGeneral(e.sys, p, links)
 }
 
 // ExactCapacity runs the exact branch-and-bound optimum (small instances).
 func (e *Engine) ExactCapacity(p Power, links []int) []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return capacity.Exact(e.sys, p, e.orAll(links))
+	p, links, err := e.powered(p, links)
+	if err != nil {
+		return nil
+	}
+	return capacity.Exact(e.sys, p, links)
 }
 
 // FirstFitCapacity runs the naive first-fit baseline.
 func (e *Engine) FirstFitCapacity(p Power, links []int) []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return capacity.FirstFit(e.sys, p, e.orAll(links))
+	p, links, err := e.powered(p, links)
+	if err != nil {
+		return nil
+	}
+	return capacity.FirstFit(e.sys, p, links)
 }
 
 // Feasible reports whether the set meets the SINR threshold simultaneously.
 func (e *Engine) Feasible(p Power, set []int) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	p, _, err := e.powered(p, set) // set stays as given: nil is the empty set here
+	if err != nil {
+		return false
+	}
 	return sinr.IsFeasible(e.sys, p, set)
 }
 
@@ -921,7 +940,11 @@ func (e *Engine) Feasible(p Power, set []int) bool {
 func (e *Engine) Schedule(p Power, links []int) ([][]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return schedule.ByCapacity(e.sys, p, e.orAll(links), capacity.Algorithm1)
+	p, links, err := e.powered(p, links)
+	if err != nil {
+		return nil, err
+	}
+	return schedule.ByCapacity(e.sys, p, links, capacity.Algorithm1)
 }
 
 // ScheduleCtx is Schedule with cooperative cancellation: ζ and the
@@ -930,21 +953,33 @@ func (e *Engine) Schedule(p Power, links []int) ([][]int, error) {
 func (e *Engine) ScheduleCtx(ctx context.Context, p Power, links []int) ([][]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return schedule.ByCapacityCtx(ctx, e.sys, p, e.orAll(links), capacity.Algorithm1)
+	p, links, err := e.powered(p, links)
+	if err != nil {
+		return nil, err
+	}
+	return schedule.ByCapacityCtx(ctx, e.sys, p, links, capacity.Algorithm1)
 }
 
 // ScheduleWith is Schedule with an explicit capacity routine.
 func (e *Engine) ScheduleWith(p Power, links []int, cap schedule.CapacityFunc) ([][]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return schedule.ByCapacity(e.sys, p, e.orAll(links), cap)
+	p, links, err := e.powered(p, links)
+	if err != nil {
+		return nil, err
+	}
+	return schedule.ByCapacity(e.sys, p, links, cap)
 }
 
 // ScheduleFirstFit builds a first-fit schedule.
 func (e *Engine) ScheduleFirstFit(p Power, links []int) ([][]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return schedule.FirstFit(e.sys, p, e.orAll(links))
+	p, links, err := e.powered(p, links)
+	if err != nil {
+		return nil, err
+	}
+	return schedule.FirstFit(e.sys, p, links)
 }
 
 // ValidateSchedule checks a schedule's feasibility and coverage of links
@@ -952,7 +987,11 @@ func (e *Engine) ScheduleFirstFit(p Power, links []int) ([][]int, error) {
 func (e *Engine) ValidateSchedule(p Power, links []int, slots [][]int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return schedule.Validate(e.sys, p, e.orAll(links), slots)
+	p, links, err := e.powered(p, links)
+	if err != nil {
+		return err
+	}
+	return schedule.Validate(e.sys, p, links, slots)
 }
 
 // Sim builds the slotted distributed simulator over the engine's space,

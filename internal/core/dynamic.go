@@ -10,10 +10,10 @@ import (
 )
 
 // Incremental maintenance of the triplet-scan parameters for mutable
-// sessions. A tracker maintains a *candidate set*: every ordered triplet
-// whose value (ζ for ZetaTracker, the ϕ ratio for VarphiTracker) exceeds a
-// retained floor τ, chosen a margin below the maximum at the last full
-// scan. The tracked parameter is the maximum over the set.
+// sessions. A Tracker maintains a *candidate set*: every ordered triplet
+// whose value (ζ, or the ϕ ratio) exceeds a retained floor τ, chosen a
+// margin below the maximum at the last full scan. The tracked parameter is
+// the maximum over the set.
 //
 // After a mutation that dirtied a node set M (rows and/or columns of the
 // decay matrix), a triplet's value changed only if one of its three
@@ -31,13 +31,12 @@ import (
 // computation.
 //
 // The scan itself — patching, extrema, per-row collection — lives on the
-// ZetaScanState / VarphiScanState replicas (shardscan.go), so a sharding
-// coordinator can run the same phases across row-range workers: build a
-// tracker from per-shard maxima and band collections (NewZetaTrackerFrom),
-// and repair it from per-shard dirty-incident collections (PatchAndDrop +
-// AbsorbRepair + Reseed). The pool-parallel Repair / rescan below and the
-// sharded phases execute identical per-triplet expressions over identical
-// replicas, so both routes track bit-identical values.
+// ScanState replicas (shardscan.go), so a sharding coordinator can run the
+// same phases across row-range workers: build a tracker from per-shard
+// maxima and band collections (NewTrackerFrom), and repair it from
+// per-shard dirty-incident collections (PatchAndDrop + AbsorbRepair +
+// Reseed). The pool-parallel Repair / rescan below drive the very same
+// range methods in chunks, so both routes track bit-identical values.
 
 // candMargin is the relative width of the candidate band: the floor is
 // (1 − candMargin) · max. Wider bands survive deeper decreases before a
@@ -74,43 +73,27 @@ func trim(set []BandTriplet, floor float64) ([]BandTriplet, float64) {
 	return set, set[len(set)-1].Val
 }
 
-// bandFloor positions the candidate floor a margin below the maximum,
-// never below the parameter's universal floor.
-func bandFloor(max, universal float64) float64 {
-	f := max - candMargin*max
-	if f < universal {
-		return universal
-	}
-	return f
-}
+// Tracker maintains one triplet parameter of a dense decay space under
+// row / column mutations. It scans through a ScanState replica (for ζ its
+// own log-decay matrix plus pruning extrema, for ϕ the matrix itself with
+// its extrema, patched on repair); the underlying Matrix is read on
+// construction and on each Repair and must reflect the mutation before
+// Repair is called.
+type Tracker struct {
+	st ScanState
 
-// ZetaBandFloor returns the candidate-band floor a tracker retains for a
-// full-scan maximum of zmax — the threshold a sharded band-collection
-// phase must use so NewZetaTrackerFrom seeds a complete set.
-func ZetaBandFloor(zmax float64) float64 { return bandFloor(zmax, DefaultZetaFloor) }
-
-// VarphiBandFloor is ZetaBandFloor's ϕ analogue.
-func VarphiBandFloor(vmax float64) float64 { return bandFloor(vmax, varphiFloorValue) }
-
-// ZetaTracker maintains the metricity ζ of a dense decay space under row /
-// column mutations. It scans through a ZetaScanState replica (its own
-// log-decay matrix plus pruning extrema, patched on repair); the
-// underlying Matrix is read on construction and on each Repair and must
-// reflect the mutation before Repair is called.
-type ZetaTracker struct {
-	st *ZetaScanState
-
-	zeta  float64
-	floor float64 // τ: the set holds every triplet with ζ > τ
+	value float64
+	floor float64 // τ: the set holds every triplet valued above τ
 	set   []BandTriplet
 }
 
-// NewZetaTracker runs the full scan, fixes the candidate floor a margin
-// below the maximum, and collects the candidate band. ctx is polled
-// between rows; a cancelled build returns ctx.Err().
-func NewZetaTracker(ctx context.Context, m *Matrix, tol float64) (*ZetaTracker, error) {
-	t := &ZetaTracker{st: NewZetaScanState(m, tol), zeta: DefaultZetaFloor, floor: DefaultZetaFloor}
-	if t.st.n < 3 {
+// NewTracker builds p's scan state over m (at ζ bisection tolerance tol),
+// runs the full scan, fixes the candidate floor a margin below the
+// maximum, and collects the candidate band. ctx is polled between rows; a
+// cancelled build returns ctx.Err().
+func NewTracker(ctx context.Context, p Param, m *Matrix, tol float64) (*Tracker, error) {
+	t := &Tracker{st: NewScanState(p, m, tol), value: p.Floor(), floor: p.Floor()}
+	if t.st.N() < 3 {
 		return t, ctx.Err()
 	}
 	if err := t.rescan(ctx); err != nil {
@@ -119,338 +102,141 @@ func NewZetaTracker(ctx context.Context, m *Matrix, tol float64) (*ZetaTracker, 
 	return t, nil
 }
 
-// NewZetaTrackerFrom seeds a tracker from the results of an externally
-// driven full scan over the given replica: the exact maximum zmax and the
-// band of triplets above ZetaBandFloor(zmax), typically concatenated from
-// per-shard collection phases. The tracker takes ownership of the state
-// (sharing it with the scanning workers is fine — repairs patch it under
-// the session lock).
-func NewZetaTrackerFrom(st *ZetaScanState, zmax float64, band []BandTriplet) *ZetaTracker {
-	t := &ZetaTracker{st: st, zeta: zmax, floor: ZetaBandFloor(zmax), set: band}
-	t.set, t.floor = trim(t.set, t.floor)
+// NewTrackerFrom seeds a tracker from the results of an externally driven
+// full scan over the given state: the exact maximum max and the band of
+// triplets above the parameter's BandFloor(max), typically concatenated
+// from per-shard collection phases. The tracker takes ownership of the
+// state (sharing it with the scanning workers is fine — repairs patch it
+// under the session lock).
+func NewTrackerFrom(st ScanState, max float64, band []BandTriplet) *Tracker {
+	t := &Tracker{st: st}
+	t.Reseed(max, band)
 	return t
 }
 
-// State returns the tracker's scan replica (shared with shard workers on
-// sharded sessions).
-func (t *ZetaTracker) State() *ZetaScanState { return t.st }
+// Param returns the tracked parameter.
+func (t *Tracker) Param() Param { return t.st.Param() }
 
-// Zeta returns the tracked metricity.
-func (t *ZetaTracker) Zeta() float64 { return t.zeta }
+// Value returns the tracked maximum.
+func (t *Tracker) Value() float64 { return t.value }
 
 // Floor returns the candidate-band floor τ — the threshold an external
 // repair phase must collect above.
-func (t *ZetaTracker) Floor() float64 { return t.floor }
+func (t *Tracker) Floor() float64 { return t.floor }
 
 // PatchAndDrop applies the mutation prefix of a repair without scanning:
-// the replica's log matrix and extrema are patched against the mutated
-// Matrix and the candidate set drops its dirty-incident members. An
-// external (sharded) repair then collects the dirty-incident triplets
-// above Floor with ZetaScanState.RepairRange and hands them to
-// AbsorbRepair. The returned dirty-node mask (nil when nothing to do) is
-// the one the collection scans consume.
-func (t *ZetaTracker) PatchAndDrop(dirty []int, rowsOnly bool) []bool {
-	if t.st.n < 3 || len(dirty) == 0 {
+// the replica is patched against the mutated Matrix and the candidate set
+// drops its dirty-incident members. An external (sharded) repair then
+// collects the dirty-incident triplets above Floor with
+// ScanState.RepairRange and hands them to AbsorbRepair. The returned
+// dirty-node mask (nil when nothing to do) is the one the collection scans
+// consume.
+func (t *Tracker) PatchAndDrop(dirty []int, rowsOnly bool) []bool {
+	n := t.st.N()
+	if n < 3 || len(dirty) == 0 {
 		return nil
 	}
 	t.st.PatchRows(dirty, rowsOnly)
-	mask := dirtyNodeMask(t.st.n, dirty)
+	mask := DirtyMask(n, dirty)
 	t.set = dropDirtyBand(t.set, mask)
-	return mask
-}
-
-// dirtyNodeMask builds the dirty-node membership mask the repair scans
-// consume.
-func dirtyNodeMask(n int, dirty []int) []bool {
-	mask := make([]bool, n)
-	for _, r := range dirty {
-		mask[r] = true
-	}
 	return mask
 }
 
 // AbsorbRepair merges an externally collected dirty-incident band into the
-// candidate set and re-derives the tracked ζ. needRescan reports the
+// candidate set and re-derives the tracked value. needRescan reports the
 // drained-band case — the maximum fell below the floor — in which the
 // caller must run a full two-phase scan (max + band) and Reseed; the
 // tracked value is not valid until then.
-func (t *ZetaTracker) AbsorbRepair(band []BandTriplet) (zeta float64, needRescan bool) {
+func (t *Tracker) AbsorbRepair(band []BandTriplet) (value float64, needRescan bool) {
 	t.set = append(t.set, band...)
-	if len(t.set) == 0 && t.floor > DefaultZetaFloor {
-		return t.zeta, true
+	return t.settle()
+}
+
+// settle re-derives the tracked value from the candidate set, or reports
+// the drained band (see AbsorbRepair).
+func (t *Tracker) settle() (value float64, needRescan bool) {
+	universal := t.Param().Floor()
+	if len(t.set) == 0 && t.floor > universal {
+		return t.value, true
 	}
 	t.set, t.floor = trim(t.set, t.floor)
-	t.zeta = maxBand(t.set, DefaultZetaFloor)
-	return t.zeta, false
+	t.value = maxBand(t.set, universal)
+	return t.value, false
 }
 
 // Reseed installs the results of a full external rescan (see
-// NewZetaTrackerFrom): the exact maximum and the band above
-// ZetaBandFloor(zmax).
-func (t *ZetaTracker) Reseed(zmax float64, band []BandTriplet) {
-	t.zeta = zmax
-	t.floor = ZetaBandFloor(zmax)
-	t.set, t.floor = trim(band, t.floor)
+// NewTrackerFrom): the exact maximum and the band above its BandFloor.
+func (t *Tracker) Reseed(max float64, band []BandTriplet) {
+	t.value = max
+	t.set, t.floor = trim(band, t.Param().BandFloor(max))
 }
 
-// Repair re-establishes the tracked ζ after the underlying matrix mutated
-// on the rows and columns of the given nodes, and returns the new value.
-// rowsOnly declares that only the dirty *rows* changed (SetRows / SetDecay
-// mutations; node moves also rewrite columns): the clean rows' log
-// entries, extrema and sort order are then provably unchanged and skipped.
-// Only triplets incident to a dirty node are re-scanned; a drained
-// candidate set triggers the full rescan fallback.
-func (t *ZetaTracker) Repair(dirty []int, rowsOnly bool) float64 {
-	if t.st.n < 3 || len(dirty) == 0 {
-		return t.zeta
-	}
-	n := t.st.n
+// Repair re-establishes the tracked value after the underlying matrix
+// mutated on the rows and columns of the given nodes, and returns it.
+// rowsOnly declares that only the dirty *rows* changed (SetRows /
+// SetDecay mutations; node moves also rewrite columns): the clean rows'
+// entries and extrema are then provably unchanged and skipped. Only
+// triplets incident to a dirty node are re-scanned, on the shared pool; a
+// drained candidate set triggers the full rescan fallback.
+func (t *Tracker) Repair(dirty []int, rowsOnly bool) float64 {
 	mask := t.PatchAndDrop(dirty, rowsOnly)
-
-	// Collect the dirty-incident triplets that reach the candidate band.
-	var mu sync.Mutex
-	tau := t.floor
-	invT := 1 / tau
-	amgm := 2 * math.Ln2 * tau
-	par.ForChunked(n, func(lo, hi int) {
-		var local []BandTriplet
-		zList := make([]int32, 0, n)
-		for x := lo; x < hi; x++ {
-			local, zList = t.st.repairRow(local, x, dirty, mask, invT, amgm, zList)
-		}
-		if len(local) > 0 {
-			mu.Lock()
-			t.set = append(t.set, local...)
-			mu.Unlock()
-		}
-	})
-
-	if len(t.set) == 0 && t.floor > DefaultZetaFloor {
-		// The maximum fell through the candidate band: full rescan.
-		t.rescan(context.Background())
-		return t.zeta
+	if mask == nil {
+		return t.value
 	}
-	t.set, t.floor = trim(t.set, t.floor)
-	t.zeta = maxBand(t.set, DefaultZetaFloor)
-	return t.zeta
+	floor := t.floor
+	// A dense state's range scans fail only on cancellation, which
+	// Background rules out.
+	t.set, _ = t.gather(context.Background(), t.set, func(ctx context.Context, lo, hi int) ([]BandTriplet, error) {
+		return t.st.RepairRange(ctx, lo, hi, dirty, mask, floor)
+	})
+	if v, needRescan := t.settle(); !needRescan {
+		return v
+	}
+	t.rescan(context.Background())
+	return t.value
 }
 
-// rescan runs the full-matrix pass: an exact maximum scan over the cached
-// log matrix followed by a collection pass a margin below it.
-func (t *ZetaTracker) rescan(ctx context.Context) error {
-	zmax, err := t.fullMax(ctx)
+// rescan runs the full-matrix pass: an exact maximum scan followed by a
+// collection pass a margin below it.
+func (t *Tracker) rescan(ctx context.Context) error {
+	max, err := t.st.FullMax(ctx)
 	if err != nil {
 		return err
 	}
-	t.zeta = zmax
-	t.floor = ZetaBandFloor(zmax)
-	t.set = t.set[:0]
-	if zmax <= DefaultZetaFloor {
-		return ctx.Err() // nothing above the floor to collect
+	var band []BandTriplet
+	if p := t.Param(); max > p.Floor() {
+		floor := p.BandFloor(max)
+		band, err = t.gather(ctx, t.set[:0], func(ctx context.Context, lo, hi int) ([]BandTriplet, error) {
+			return t.st.CollectRange(ctx, lo, hi, floor)
+		})
+		if err != nil {
+			return err
+		}
 	}
-	var mu sync.Mutex
-	invT := 1 / t.floor
-	amgm := 2 * math.Ln2 * t.floor
-	n := t.st.n
-	err = par.ForChunkedCtx(ctx, n, func(lo, hi int) {
-		var local []BandTriplet
-		for x := lo; x < hi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := t.st.logs[x*n : (x+1)*n]
-			for z := 0; z < n; z++ {
-				if z != x {
-					local = t.st.collectPair(local, rowX, x, z, invT, amgm)
-				}
-			}
+	t.Reseed(max, band)
+	return ctx.Err()
+}
+
+// gather runs a row-range collection phase over [0, n) in chunks on the
+// shared pool and appends the chunks' bands to band.
+func (t *Tracker) gather(ctx context.Context, band []BandTriplet, phase func(ctx context.Context, lo, hi int) ([]BandTriplet, error)) ([]BandTriplet, error) {
+	var (
+		mu       sync.Mutex
+		phaseErr error
+	)
+	err := par.ForChunkedCtx(ctx, t.st.N(), func(lo, hi int) {
+		local, err := phase(ctx, lo, hi)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			phaseErr = err
 		}
-		if len(local) > 0 {
-			mu.Lock()
-			t.set = append(t.set, local...)
-			mu.Unlock()
-		}
+		band = append(band, local...)
 	})
-	if err != nil {
-		return err
+	if phaseErr != nil {
+		return nil, phaseErr
 	}
-	t.set, t.floor = trim(t.set, t.floor)
-	return nil
-}
-
-// fullMax is the exact tiled maximum scan over the tracker's cached log
-// matrix — ZetaTol's kernel minus the symmetric halving (the tracker
-// serves mutated, generally asymmetric sessions).
-func (t *ZetaTracker) fullMax(ctx context.Context) (float64, error) {
-	st := t.st
-	scan := newMaxScan(denseRows(st.logs, st.n), st.rowMax, st.rowMin, false, st.tol, DefaultZetaFloor)
-	return scan.parallel(ctx, (*maxScan).zetaTile)
-}
-
-// VarphiTracker maintains the variant parameter ϕ = max f(x,z) /
-// (f(x,y) + f(y,z)) under mutations, with the same candidate-set scheme as
-// ZetaTracker. It reads the tracked Matrix directly through its
-// VarphiScanState (no private copy): the session layer mutates the matrix
-// first and then calls Repair with the dirty node set.
-type VarphiTracker struct {
-	st *VarphiScanState
-
-	varphi float64
-	floor  float64
-	set    []BandTriplet
-}
-
-// varphiFloorValue is ϕ's universal lower bound (attained on uniform
-// spaces).
-const varphiFloorValue = 0.5
-
-// VarphiFloor is ϕ's universal lower bound (attained on uniform spaces) —
-// the ϕ analogue of DefaultZetaFloor, exported so the sharded scans merge
-// against the same floor as the pool kernels.
-const VarphiFloor = varphiFloorValue
-
-// NewVarphiTracker runs the full ϕ scan and collects the candidate band.
-// ctx is polled between rows; a cancelled build returns ctx.Err().
-func NewVarphiTracker(ctx context.Context, m *Matrix) (*VarphiTracker, error) {
-	t := &VarphiTracker{st: NewVarphiScanState(m), varphi: varphiFloorValue, floor: varphiFloorValue}
-	if t.st.n < 3 {
-		return t, ctx.Err()
-	}
-	if err := t.rescan(ctx); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// NewVarphiTrackerFrom seeds a tracker from an externally driven full scan
-// (see NewZetaTrackerFrom): the exact maximum vmax and the band above
-// VarphiBandFloor(vmax).
-func NewVarphiTrackerFrom(st *VarphiScanState, vmax float64, band []BandTriplet) *VarphiTracker {
-	t := &VarphiTracker{st: st, varphi: vmax, floor: VarphiBandFloor(vmax), set: band}
-	t.set, t.floor = trim(t.set, t.floor)
-	return t
-}
-
-// State returns the tracker's scan replica.
-func (t *VarphiTracker) State() *VarphiScanState { return t.st }
-
-// Varphi returns the tracked parameter.
-func (t *VarphiTracker) Varphi() float64 { return t.varphi }
-
-// Floor returns the candidate-band floor τ.
-func (t *VarphiTracker) Floor() float64 { return t.floor }
-
-// PatchAndDrop applies the mutation prefix of a repair without scanning
-// (see ZetaTracker.PatchAndDrop).
-func (t *VarphiTracker) PatchAndDrop(dirty []int, rowsOnly bool) []bool {
-	if t.st.n < 3 || len(dirty) == 0 {
-		return nil
-	}
-	t.st.PatchRows(dirty, rowsOnly)
-	mask := dirtyNodeMask(t.st.n, dirty)
-	t.set = dropDirtyBand(t.set, mask)
-	return mask
-}
-
-// AbsorbRepair merges an externally collected dirty-incident band and
-// re-derives the tracked ϕ (see ZetaTracker.AbsorbRepair).
-func (t *VarphiTracker) AbsorbRepair(band []BandTriplet) (varphi float64, needRescan bool) {
-	t.set = append(t.set, band...)
-	if len(t.set) == 0 && t.floor > varphiFloorValue {
-		return t.varphi, true
-	}
-	t.set, t.floor = trim(t.set, t.floor)
-	t.varphi = maxBand(t.set, varphiFloorValue)
-	return t.varphi, false
-}
-
-// Reseed installs the results of a full external rescan.
-func (t *VarphiTracker) Reseed(vmax float64, band []BandTriplet) {
-	t.varphi = vmax
-	t.floor = VarphiBandFloor(vmax)
-	t.set, t.floor = trim(band, t.floor)
-}
-
-// Repair re-establishes the tracked ϕ after the matrix mutated on the rows
-// and columns of the given nodes, and returns the new value. rowsOnly
-// declares a row-only mutation (see ZetaTracker.Repair): clean rows'
-// extrema are then provably unchanged and skipped.
-func (t *VarphiTracker) Repair(dirty []int, rowsOnly bool) float64 {
-	if t.st.n < 3 || len(dirty) == 0 {
-		return t.varphi
-	}
-	n := t.st.n
-	mask := t.PatchAndDrop(dirty, rowsOnly)
-	var mu sync.Mutex
-	tau := t.floor
-	par.ForChunked(n, func(lo, hi int) {
-		var local []BandTriplet
-		for x := lo; x < hi; x++ {
-			local = t.st.repairRow(local, x, dirty, mask, tau)
-		}
-		if len(local) > 0 {
-			mu.Lock()
-			t.set = append(t.set, local...)
-			mu.Unlock()
-		}
-	})
-	if len(t.set) == 0 && t.floor > varphiFloorValue {
-		t.rescan(context.Background())
-		return t.varphi
-	}
-	t.set, t.floor = trim(t.set, t.floor)
-	t.varphi = maxBand(t.set, varphiFloorValue)
-	return t.varphi
-}
-
-// rescan runs the full ϕ pass: exact maximum, then candidate collection a
-// margin below it.
-func (t *VarphiTracker) rescan(ctx context.Context) error {
-	vmax, err := t.fullMax(ctx)
-	if err != nil {
-		return err
-	}
-	t.varphi = vmax
-	t.floor = VarphiBandFloor(vmax)
-	t.set = t.set[:0]
-	if vmax <= varphiFloorValue {
-		return ctx.Err()
-	}
-	var mu sync.Mutex
-	tau := t.floor
-	n := t.st.n
-	err = par.ForChunkedCtx(ctx, n, func(lo, hi int) {
-		var local []BandTriplet
-		for x := lo; x < hi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := t.st.m.row(x)
-			for y := 0; y < n; y++ {
-				if y != x {
-					local = t.st.collectPair(local, rowX, x, y, tau)
-				}
-			}
-		}
-		if len(local) > 0 {
-			mu.Lock()
-			t.set = append(t.set, local...)
-			mu.Unlock()
-		}
-	})
-	if err != nil {
-		return err
-	}
-	t.set, t.floor = trim(t.set, t.floor)
-	return nil
-}
-
-// fullMax is the exact tiled ϕ maximum over the tracked matrix — Varphi's
-// kernel minus the symmetric halving.
-func (t *VarphiTracker) fullMax(ctx context.Context) (float64, error) {
-	st := t.st
-	scan := newMaxScan(denseRows(st.m.f, st.n), st.rowMaxF, st.rowMinF, false, 0, varphiFloorValue)
-	return scan.parallel(ctx, (*maxScan).varphiTile)
+	return band, err
 }
 
 // colMinima returns the smallest off-diagonal entry of each column of an

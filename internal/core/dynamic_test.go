@@ -49,12 +49,12 @@ func mutateRows(t *testing.T, m *Matrix, k int, src *rng.Source) []int {
 func TestZetaTrackerMatchesFullScan(t *testing.T) {
 	for _, n := range []int{3, 8, 24, 64} {
 		m := randomMatrix(t, n, uint64(n)*13+1)
-		zt, err := NewZetaTracker(context.Background(), m, 1e-12)
+		zt, err := NewTracker(context.Background(), ParamZeta, m, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := ZetaTol(m, 1e-12)
-		if got := zt.Zeta(); got != want {
+		if got := zt.Value(); got != want {
 			t.Errorf("n=%d: tracker build zeta %v, full scan %v", n, got, want)
 		}
 		src := rng.New(uint64(n) * 7)
@@ -76,11 +76,11 @@ func TestZetaTrackerMatchesFullScan(t *testing.T) {
 func TestVarphiTrackerMatchesFullScan(t *testing.T) {
 	for _, n := range []int{3, 8, 24, 64} {
 		m := randomMatrix(t, n, uint64(n)*31+5)
-		vt, err := NewVarphiTracker(context.Background(), m)
+		vt, err := NewTracker(context.Background(), ParamVarphi, m, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := vt.Varphi(), Varphi(m); got != want {
+		if got, want := vt.Value(), Varphi(m); got != want {
 			t.Errorf("n=%d: tracker build varphi %v, full scan %v", n, got, want)
 		}
 		src := rng.New(uint64(n) * 3)
@@ -104,11 +104,11 @@ func TestVarphiTrackerMatchesFullScan(t *testing.T) {
 func TestTrackerHandlesDecrease(t *testing.T) {
 	n := 16
 	m := randomMatrix(t, n, 99)
-	zt, err := NewZetaTracker(context.Background(), m, 1e-12)
+	zt, err := NewTracker(context.Background(), ParamZeta, m, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vt, err := NewVarphiTracker(context.Background(), m)
+	vt, err := NewTracker(context.Background(), ParamVarphi, m, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestTrackerHandlesDecrease(t *testing.T) {
 			t.Fatalf("row %d: varphi %v, want %v", r, got, want)
 		}
 	}
-	if z := zt.Zeta(); z != DefaultZetaFloor {
+	if z := zt.Value(); z != DefaultZetaFloor {
 		t.Errorf("uniform space zeta %v, want floor", z)
 	}
-	if v := vt.Varphi(); v != 0.5 {
+	if v := vt.Value(); v != 0.5 {
 		t.Errorf("uniform space varphi %v, want 0.5", v)
 	}
 }
@@ -144,10 +144,10 @@ func TestTrackerCancelledBuild(t *testing.T) {
 	m := randomMatrix(t, 64, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewZetaTracker(ctx, m, 1e-12); err != context.Canceled {
+	if _, err := NewTracker(ctx, ParamZeta, m, 1e-12); err != context.Canceled {
 		t.Errorf("zeta tracker build err = %v, want context.Canceled", err)
 	}
-	if _, err := NewVarphiTracker(ctx, m); err != context.Canceled {
+	if _, err := NewTracker(ctx, ParamVarphi, m, 1e-12); err != context.Canceled {
 		t.Errorf("varphi tracker build err = %v, want context.Canceled", err)
 	}
 }

@@ -104,12 +104,12 @@ func TestMaxKernelRoutesBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ss.ZetaMaxRange(ctx, 0, n, sym)
+				got, err := ss.MaxRange(ctx, core.ParamZeta, 0, n, sym)
 				if err != nil {
 					t.Fatal(err)
 				}
 				check("streamed ζ", got, zeta)
-				if got, err = ss.VarphiMaxRange(ctx, 0, n, sym); err != nil {
+				if got, err = ss.MaxRange(ctx, core.ParamVarphi, 0, n, sym); err != nil {
 					t.Fatal(err)
 				}
 				check("streamed ϕ", got, varphi)
@@ -117,16 +117,16 @@ func TestMaxKernelRoutesBitIdentical(t *testing.T) {
 				if sym {
 					return
 				}
-				zt, err := core.NewZetaTracker(ctx, m, 1e-12)
+				zt, err := core.NewTracker(ctx, core.ParamZeta, m, 1e-12)
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("ζ tracker", zt.Zeta(), zeta)
-				vt, err := core.NewVarphiTracker(ctx, m)
+				check("ζ tracker", zt.Value(), zeta)
+				vt, err := core.NewTracker(ctx, core.ParamVarphi, m, 1e-12)
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("ϕ tracker", vt.Varphi(), varphi)
+				check("ϕ tracker", vt.Value(), varphi)
 			})
 		}
 	}

@@ -275,7 +275,7 @@ func VarphiCtx(ctx context.Context, d Space) (float64, error) {
 	}
 	m := Dense(d)
 	rowMaxF, rowMinF := rowExtrema(m.f, n)
-	s := newMaxScan(denseRows(m.f, n), rowMaxF, rowMinF, m.Symmetric(), 0, varphiFloorValue)
+	s := newMaxScan(denseRows(m.f, n), rowMaxF, rowMinF, m.Symmetric(), 0, VarphiFloor)
 	return s.parallel(ctx, (*maxScan).varphiTile)
 }
 

@@ -239,6 +239,9 @@ func TestZetaSampledFullBudget(t *testing.T) {
 	}
 }
 
+// valueCount unpacks an estimate into its point value and triplet count.
+func valueCount(est SampledEstimate) (float64, int) { return est.Value, est.Evaluated }
+
 // TestZetaSampledBatchBounds: the batched estimator is a lower bound on
 // exact ζ, reports its evaluated count exactly, and converges to the exact
 // value as the sample budget approaches the triplet population.
@@ -247,7 +250,7 @@ func TestZetaSampledBatchBounds(t *testing.T) {
 	exact := Zeta(m)
 	prev := 0.0
 	for _, samples := range []int{10, 1000, 60000} {
-		got, k := ZetaSampledBatch(m, samples, rng.New(9))
+		got, k := valueCount(ZetaSampledEstimate(m, samples, rng.New(9)))
 		if k != samples {
 			t.Fatalf("samples=%d: evaluated %d triplets", samples, k)
 		}
@@ -263,7 +266,7 @@ func TestZetaSampledBatchBounds(t *testing.T) {
 		prev = got
 	}
 	// 60000 samples over 24·23·22 = 12144 triplets: essentially exhaustive.
-	got, _ := ZetaSampledBatch(m, 60000, rng.New(9))
+	got, _ := valueCount(ZetaSampledEstimate(m, 60000, rng.New(9)))
 	if got < exact*0.999 {
 		t.Fatalf("converged estimate %v too far below exact %v", got, exact)
 	}
@@ -272,7 +275,7 @@ func TestZetaSampledBatchBounds(t *testing.T) {
 func TestVarphiSampledBatchBounds(t *testing.T) {
 	m := randomSpace(t, 78, 24, 0.2, 60)
 	exact := Varphi(m)
-	got, k := VarphiSampledBatch(m, 60000, rng.New(9))
+	got, k := valueCount(VarphiSampledEstimate(m, 60000, rng.New(9)))
 	if k != 60000 {
 		t.Fatalf("evaluated %d triplets, want 60000", k)
 	}
@@ -289,14 +292,14 @@ func TestVarphiSampledBatchBounds(t *testing.T) {
 
 func TestSampledBatchTinySpaces(t *testing.T) {
 	two, _ := NewMatrix([][]float64{{0, 5}, {9, 0}})
-	if z, k := ZetaSampledBatch(two, 100, rng.New(1)); z != DefaultZetaFloor || k != 0 {
+	if z, k := valueCount(ZetaSampledEstimate(two, 100, rng.New(1))); z != DefaultZetaFloor || k != 0 {
 		t.Errorf("tiny batch zeta = (%v, %d)", z, k)
 	}
-	if v, k := VarphiSampledBatch(two, 100, rng.New(1)); v != 0.5 || k != 0 {
+	if v, k := valueCount(VarphiSampledEstimate(two, 100, rng.New(1))); v != 0.5 || k != 0 {
 		t.Errorf("tiny batch varphi = (%v, %d)", v, k)
 	}
 	m := randomSpace(t, 79, 12, 0.2, 60)
-	if z, k := ZetaSampledBatch(m, 0, rng.New(1)); z != DefaultZetaFloor || k != 0 {
+	if z, k := valueCount(ZetaSampledEstimate(m, 0, rng.New(1))); z != DefaultZetaFloor || k != 0 {
 		t.Errorf("zero-budget batch zeta = (%v, %d)", z, k)
 	}
 }
@@ -305,8 +308,8 @@ func TestSampledBatchTinySpaces(t *testing.T) {
 // bit-equal estimates regardless of pool scheduling.
 func TestZetaSampledBatchDeterministic(t *testing.T) {
 	m := randomSpace(t, 80, 40, 0.2, 60)
-	a, ka := ZetaSampledBatch(m, 5000, rng.New(4))
-	b, kb := ZetaSampledBatch(m, 5000, rng.New(4))
+	a, ka := valueCount(ZetaSampledEstimate(m, 5000, rng.New(4)))
+	b, kb := valueCount(ZetaSampledEstimate(m, 5000, rng.New(4)))
 	if a != b || ka != kb {
 		t.Fatalf("non-deterministic: (%v,%d) vs (%v,%d)", a, ka, b, kb)
 	}

@@ -73,9 +73,11 @@ func newSampledEstimate(value float64, evaluated int, maxima []float64) SampledE
 	return est
 }
 
-// ZetaSampledEstimate is ZetaSampledBatch with the concentration summary:
-// the same deterministic scan, plus Hoeffding statistics over the
-// per-stratum maxima (see SampledEstimate).
+// ZetaSampledEstimate estimates ζ from `samples` random triplets drawn in
+// whole-row strata (see sampledScan): the estimate — a lower bound on the
+// exact ζ — the number of triplets evaluated (exactly samples), and the
+// Hoeffding statistics over the per-stratum maxima (see SampledEstimate).
+// Deterministic in (d, samples, src).
 func ZetaSampledEstimate(d Space, samples int, src *rng.Source) SampledEstimate {
 	est, _ := ZetaSampledEstimateCtx(context.Background(), d, samples, src)
 	return est
@@ -85,15 +87,12 @@ func ZetaSampledEstimate(d Space, samples int, src *rng.Source) SampledEstimate 
 // cancellation: ctx is polled between strata, and a cancelled scan returns
 // ctx.Err() with no partial estimate.
 func ZetaSampledEstimateCtx(ctx context.Context, d Space, samples int, src *rng.Source) (SampledEstimate, error) {
-	v, k, maxima, err := zetaSampledScan(ctx, d, samples, src)
-	if err != nil {
-		return SampledEstimate{}, err
-	}
-	return newSampledEstimate(v, k, fullStrata(maxima, samples)), nil
+	return sampledEstimate(ctx, d, samples, src, zetaSampledScan)
 }
 
-// VarphiSampledEstimate is VarphiSampledBatch with the concentration
-// summary (see SampledEstimate).
+// VarphiSampledEstimate is the ϕ analogue of ZetaSampledEstimate: each
+// sampled (x, y) row pair is probed with draws of the ratio
+// f(x,z)/(f(x,y)+f(y,z)); the estimate never falls below the 1/2 floor.
 func VarphiSampledEstimate(d Space, samples int, src *rng.Source) SampledEstimate {
 	est, _ := VarphiSampledEstimateCtx(context.Background(), d, samples, src)
 	return est
@@ -102,7 +101,17 @@ func VarphiSampledEstimate(d Space, samples int, src *rng.Source) SampledEstimat
 // VarphiSampledEstimateCtx is VarphiSampledEstimate with cooperative
 // cancellation (see ZetaSampledEstimateCtx).
 func VarphiSampledEstimateCtx(ctx context.Context, d Space, samples int, src *rng.Source) (SampledEstimate, error) {
-	v, k, maxima, err := varphiSampledScan(ctx, d, samples, src)
+	return sampledEstimate(ctx, d, samples, src, varphiSampledScan)
+}
+
+// sampledScanFunc is the signature of zetaSampledScan and
+// varphiSampledScan: the estimate, the triplets evaluated and the
+// per-stratum maxima.
+type sampledScanFunc func(ctx context.Context, d Space, samples int, src *rng.Source) (float64, int, []float64, error)
+
+// sampledEstimate runs one sampled scan and summarizes its full strata.
+func sampledEstimate(ctx context.Context, d Space, samples int, src *rng.Source, scan sampledScanFunc) (SampledEstimate, error) {
+	v, k, maxima, err := scan(ctx, d, samples, src)
 	if err != nil {
 		return SampledEstimate{}, err
 	}
@@ -135,8 +144,7 @@ func VarphiSampledTarget(ctx context.Context, d Space, initial int, eps float64,
 // scan's maximum is folded into the running value), while the concentration
 // summary is the final — largest — scan's, whose strata dominate every
 // earlier attempt's.
-func sampledTarget(ctx context.Context, d Space, initial int, eps float64, src *rng.Source,
-	scan func(ctx context.Context, d Space, samples int, src *rng.Source) (float64, int, []float64, error)) (SampledEstimate, error) {
+func sampledTarget(ctx context.Context, d Space, initial int, eps float64, src *rng.Source, scan sampledScanFunc) (SampledEstimate, error) {
 	if initial <= 0 {
 		initial = sampleRowBlock
 	}
@@ -171,17 +179,8 @@ func fullStrata(maxima []float64, samples int) []float64 {
 	return maxima[:full]
 }
 
-// ZetaSampledBatch estimates ζ from `samples` random triplets drawn in
-// whole-row strata (see sampledScan). It returns the estimate — a lower
-// bound on the exact ζ — and the number of triplets evaluated (exactly
-// samples). Deterministic in (d, samples, src).
-func ZetaSampledBatch(d Space, samples int, src *rng.Source) (float64, int) {
-	v, k, _, _ := zetaSampledScan(context.Background(), d, samples, src)
-	return v, k
-}
-
-// zetaSampledScan is the shared ζ scan behind ZetaSampledBatch and
-// ZetaSampledEstimate, returning the per-stratum maxima as well.
+// zetaSampledScan is the ζ scan behind the sampled estimators: each
+// sampled (x, z) row pair is probed with draws of the third node y.
 func zetaSampledScan(ctx context.Context, d Space, samples int, src *rng.Source) (float64, int, []float64, error) {
 	return sampledScan(ctx, d, samples, src, DefaultZetaFloor,
 		func(pr *rng.Source, rowX, rowZ []float64, x, z, budget int) (float64, int) {
@@ -209,18 +208,7 @@ func zetaSampledScan(ctx context.Context, d Space, samples int, src *rng.Source)
 		})
 }
 
-// VarphiSampledBatch is the ϕ analogue of ZetaSampledBatch: each resident
-// (x, y) row pair is probed with draws of the ratio f(x,z)/(f(x,y)+f(y,z)).
-// Returns the estimate — a lower bound on the exact ϕ, never below the 1/2
-// floor — and the number of triplets evaluated. Deterministic in
-// (d, samples, src).
-func VarphiSampledBatch(d Space, samples int, src *rng.Source) (float64, int) {
-	v, k, _, _ := varphiSampledScan(context.Background(), d, samples, src)
-	return v, k
-}
-
-// varphiSampledScan is the shared ϕ scan behind VarphiSampledBatch and
-// VarphiSampledEstimate, returning the per-stratum maxima as well.
+// varphiSampledScan is the ϕ scan behind the sampled estimators.
 func varphiSampledScan(ctx context.Context, d Space, samples int, src *rng.Source) (float64, int, []float64, error) {
 	return sampledScan(ctx, d, samples, src, 0.5,
 		func(pr *rng.Source, rowX, rowY []float64, x, y, budget int) (float64, int) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"decaynet/internal/rng"
@@ -13,19 +14,19 @@ func estSpace(t *testing.T, n int, seed uint64) *Matrix {
 	return randomSpace(t, seed, n, 0.5, 50)
 }
 
-// TestSampledEstimateMatchesBatch pins the Estimate variants to the Batch
+// TestSampledEstimateMatchesBatch pins the Estimate variants to the batched
 // scans they wrap: same point estimate, same evaluated count, plus a
 // coherent concentration summary.
 func TestSampledEstimateMatchesBatch(t *testing.T) {
 	d := estSpace(t, 48, 3)
 	const samples = 4000
 	ze := ZetaSampledEstimate(d, samples, rng.New(7))
-	zv, zk := ZetaSampledBatch(d, samples, rng.New(7))
+	zv, zk, _, _ := zetaSampledScan(context.Background(), d, samples, rng.New(7))
 	if ze.Value != zv || ze.Evaluated != zk {
 		t.Fatalf("estimate (%v, %d) != batch (%v, %d)", ze.Value, ze.Evaluated, zv, zk)
 	}
 	ve := VarphiSampledEstimate(d, samples, rng.New(7))
-	vv, vk := VarphiSampledBatch(d, samples, rng.New(7))
+	vv, vk, _, _ := varphiSampledScan(context.Background(), d, samples, rng.New(7))
 	if ve.Value != vv || ve.Evaluated != vk {
 		t.Fatalf("estimate (%v, %d) != batch (%v, %d)", ve.Value, ve.Evaluated, vv, vk)
 	}

@@ -5,20 +5,20 @@ import (
 	"math"
 )
 
-// Partial-reduction forms of the triplet kernels. A ZetaScanState /
-// VarphiScanState is the replica a shard worker scans: the (log-)decay
-// matrix plus the pruning extrema, with serial row-range methods —
-// MaxRange, CollectRange, RepairRange — whose union over a partition of
-// [0, n) reproduces exactly what the pool-parallel kernels compute. Every
-// triplet value comes from the same deterministic per-triplet functions
-// (zetaTriplet, the ϕ ratio), so merging per-shard maxima with max and
-// concatenating per-shard bands is bit-identical to the unsharded scans:
-// the reduction is associative and no partial result depends on schedule.
+// Partial-reduction forms of the triplet kernels. A ScanState — a
+// ZetaScanState or a VarphiScanState — is the replica a shard worker
+// scans: the (log-)decay matrix plus the pruning extrema, with serial
+// row-range methods — MaxRange, CollectRange, RepairRange — whose union
+// over a partition of [0, n) reproduces exactly what the pool-parallel
+// kernels compute. Every triplet value comes from the same deterministic
+// per-triplet functions (zetaTriplet, the ϕ ratio), so merging per-shard
+// maxima with max and concatenating per-shard bands is bit-identical to
+// the unsharded scans: the reduction is associative and no partial result
+// depends on schedule.
 //
-// The incremental trackers (ZetaTracker / VarphiTracker) are built on the
-// same states, which is what lets a sharding coordinator seed the global
-// tracker from per-shard band maxima and route repairs back through the
-// shards (see internal/shard).
+// The incremental Tracker is built on the same states, which is what lets
+// a sharding coordinator seed the global tracker from per-shard band
+// maxima and route repairs back through the shards (see internal/shard).
 
 // BandTriplet is one candidate of a ζ/ϕ candidate band: the triplet's
 // value and coordinates. It is a plain wire-format value so shard workers
@@ -41,6 +41,18 @@ func maxBand(set []BandTriplet, floor float64) float64 {
 	return v
 }
 
+// DirtyMask builds the dirty-node membership mask the repair scans
+// consume; entries outside [0, n) are ignored.
+func DirtyMask(n int, dirty []int) []bool {
+	mask := make([]bool, n)
+	for _, r := range dirty {
+		if r >= 0 && r < n {
+			mask[r] = true
+		}
+	}
+	return mask
+}
+
 // dropDirtyBand removes candidates incident to a dirty node, in place.
 func dropDirtyBand(set []BandTriplet, mask []bool) []BandTriplet {
 	out := set[:0]
@@ -52,81 +64,129 @@ func dropDirtyBand(set []BandTriplet, mask []bool) []BandTriplet {
 	return out
 }
 
-// ZetaScanState is the ζ scan replica: the log-decay matrix of a dense
-// space plus the row/column pruning extrema, supporting serial row-range
-// partial scans. The underlying Matrix is read at construction and on
-// PatchRows; between patches the state is immutable and safe for
-// concurrent range scans.
-type ZetaScanState struct {
+// rangeScan is the driver of the row-range collection phases: row appends
+// one first index's triplets, and ctx is polled between rows.
+func rangeScan(ctx context.Context, n, xlo, xhi int, row func(out []BandTriplet, x int) []BandTriplet) ([]BandTriplet, error) {
+	var out []BandTriplet
+	if n < 3 {
+		return out, ctx.Err()
+	}
+	for x := xlo; x < xhi; x++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out = row(out, x)
+	}
+	return out, nil
+}
+
+// ScanState is one parameter's dense scan replica: the row-range phases a
+// shard worker serves, the patch a mutation applies and the pool-parallel
+// full maximum a Tracker rescans with. ZetaScanState and VarphiScanState
+// implement it; NewScanState builds the one a Param names. Between
+// patches a state is immutable and safe for concurrent range scans.
+type ScanState interface {
+	// Param returns the parameter the state scans.
+	Param() Param
+	// N returns the number of nodes scanned.
+	N() int
+	// PatchRows refreshes the state after the underlying matrix mutated on
+	// the rows (and, unless rowsOnly, columns) of the dirty nodes. Callers
+	// serialize it against range scans (the session layer holds its write
+	// lock across repairs).
+	PatchRows(dirty []int, rowsOnly bool)
+	// MaxRange returns the exact maximum over the ordered triplets whose
+	// first index lies in [xlo, xhi) — the shard-sized partial reduction
+	// whose max-merge over a row partition equals the full scan. The scan
+	// is serial (one shard = one goroutine) but runs the same cache-blocked
+	// kernel as the one-shot scans, one tile at a time, and polls ctx per
+	// row. sym certifies exact decay symmetry and halves the triplet set
+	// exactly as the one-shot scans do.
+	MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error)
+	// FullMax is the exact maximum over every triplet on the shared pool —
+	// the one-shot kernel minus the symmetric halving (trackers serve
+	// mutated, generally asymmetric sessions).
+	FullMax(ctx context.Context) (float64, error)
+	// CollectRange returns every triplet with first index in [xlo, xhi)
+	// whose value exceeds floor — the shard-sized band-collection phase.
+	// Concatenating the ranges of a partition yields exactly the candidate
+	// set a full collection pass produces (order aside, which no consumer
+	// depends on). ctx is polled per row.
+	CollectRange(ctx context.Context, xlo, xhi int, floor float64) ([]BandTriplet, error)
+	// RepairRange re-scans the dirty-incident triplets with first index in
+	// [xlo, xhi) after PatchRows, returning those above floor — the
+	// shard-sized repair phase. mask is the dirty-node membership mask
+	// (len n).
+	RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, floor float64) ([]BandTriplet, error)
+}
+
+// scanState is what the two dense scan states share: the row-major matrix
+// their kernels read — ln f for ζ, f itself for ϕ — with its off-diagonal
+// row and column extrema. The underlying Matrix is read at construction
+// and on PatchRows.
+type scanState struct {
+	p   Param
 	m   *Matrix
 	n   int
 	tol float64
 
-	logs                   []float64 // ln f, row-major
-	rowMax, rowMin, colMin []float64 // off-diagonal extrema of logs
+	vals                   []float64 // ln f (ζ, a private copy) or f (ϕ, the matrix's own)
+	rowMax, rowMin, colMin []float64 // off-diagonal extrema of vals
 }
 
-// NewZetaScanState materializes the log matrix and pruning extrema of m
-// (parallel, O(n²)) for range scanning at bisection tolerance tol.
-func NewZetaScanState(m *Matrix, tol float64) *ZetaScanState {
-	n := m.N()
-	s := &ZetaScanState{m: m, n: n, tol: tol}
-	if n < 3 {
-		return s
-	}
-	s.logs = logMatrix(m)
-	s.rowMax, s.rowMin = rowExtrema(s.logs, n)
-	s.colMin = colMinima(s.logs, n)
-	return s
+// setVals installs the kernel matrix and derives its extrema (parallel,
+// O(n²)).
+func (s *scanState) setVals(vals []float64) {
+	s.vals = vals
+	s.rowMax, s.rowMin = rowExtrema(vals, s.n)
+	s.colMin = colMinima(vals, s.n)
 }
+
+// Param returns the parameter the state scans.
+func (s *scanState) Param() Param { return s.p }
 
 // N returns the number of nodes scanned.
-func (s *ZetaScanState) N() int { return s.n }
+func (s *scanState) N() int { return s.n }
 
-// PatchRows refreshes the replica after the underlying matrix mutated on
-// the rows (and, unless rowsOnly, columns) of the dirty nodes: dirty log
-// rows are recomputed wholesale, dirty column entries per clean row, and
-// the affected extrema re-derived. Callers serialize PatchRows against
-// range scans (the session layer holds its write lock across repairs).
-func (s *ZetaScanState) PatchRows(dirty []int, rowsOnly bool) {
-	if s.n < 3 || len(dirty) == 0 {
-		return
+// MaxRange implements ScanState.
+func (s *scanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
+	if s.n < 3 || xlo >= xhi {
+		return s.p.Floor(), ctx.Err()
 	}
-	n := s.n
-	mask := make([]bool, n)
-	for _, r := range dirty {
-		mask[r] = true
+	return s.maxScan(sym).serial(ctx, xlo, xhi, params[s.p].tile)
+}
+
+// FullMax implements ScanState.
+func (s *scanState) FullMax(ctx context.Context) (float64, error) {
+	if s.n < 3 {
+		return s.p.Floor(), ctx.Err()
 	}
-	for x := 0; x < n; x++ {
-		row := s.m.row(x)
-		out := s.logs[x*n : (x+1)*n]
-		if mask[x] {
-			for j, v := range row {
-				out[j] = math.Log(v)
-			}
-			continue
-		}
-		if rowsOnly {
-			continue
-		}
-		for _, r := range dirty {
-			out[r] = math.Log(row[r])
-		}
-	}
+	return s.maxScan(false).parallel(ctx, params[s.p].tile)
+}
+
+// maxScan starts a max scan over the state's kernel matrix.
+func (s *scanState) maxScan(sym bool) *maxScan {
+	return newMaxScan(denseRows(s.vals, s.n), s.rowMax, s.rowMin, sym, s.tol, s.p.Floor())
+}
+
+// refreshExtrema re-derives the extrema after vals changed on the dirty
+// rows (and, unless rowsOnly, columns): a row-only mutation leaves the
+// clean rows' extrema provably unchanged.
+func (s *scanState) refreshExtrema(dirty []int, rowsOnly bool) {
 	if rowsOnly {
 		for _, r := range dirty {
 			s.refreshRow(r)
 		}
 	} else {
-		s.rowMax, s.rowMin = rowExtrema(s.logs, n)
+		s.rowMax, s.rowMin = rowExtrema(s.vals, s.n)
 	}
-	refreshColMinima(s.colMin, s.logs, n, dirty)
+	refreshColMinima(s.colMin, s.vals, s.n, dirty)
 }
 
-// refreshRow re-derives one row's extrema after its log entries changed.
-func (s *ZetaScanState) refreshRow(x int) {
+// refreshRow re-derives one row's extrema after its entries changed.
+func (s *scanState) refreshRow(x int) {
 	n := s.n
-	row := s.logs[x*n : (x+1)*n]
+	row := s.vals[x*n : (x+1)*n]
 	mx, mn := math.Inf(-1), math.Inf(1)
 	for j, v := range row {
 		if j == x {
@@ -142,84 +202,87 @@ func (s *ZetaScanState) refreshRow(x int) {
 	s.rowMax[x], s.rowMin[x] = mx, mn
 }
 
-// MaxRange returns the exact ζ maximum over the ordered triplets whose
-// first index lies in [xlo, xhi) — the shard-sized partial reduction whose
-// max-merge over a row partition equals the full scan. The scan is serial
-// (one shard = one goroutine; parallelism comes from the number of shards)
-// but runs the same cache-blocked ζ kernel as ZetaTol, one z-tile at a
-// time, and polls ctx per row. sym certifies exact decay symmetry: the
-// y-loop then starts at x+1, halving the triplet set exactly as ZetaTol
-// does.
-func (s *ZetaScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	if s.n < 3 || xlo >= xhi {
-		return DefaultZetaFloor, ctx.Err()
+// ZetaScanState is the ζ scan replica: the log-decay matrix of a dense
+// space plus its pruning extrema.
+type ZetaScanState struct{ scanState }
+
+// NewZetaScanState materializes the log matrix and pruning extrema of m
+// (parallel, O(n²)) for range scanning at bisection tolerance tol.
+func NewZetaScanState(m *Matrix, tol float64) *ZetaScanState {
+	s := &ZetaScanState{scanState{p: ParamZeta, m: m, n: m.N(), tol: tol}}
+	if s.n >= 3 {
+		s.setVals(logMatrix(m))
 	}
-	scan := newMaxScan(denseRows(s.logs, s.n), s.rowMax, s.rowMin, sym, s.tol, DefaultZetaFloor)
-	return scan.serial(ctx, xlo, xhi, (*maxScan).zetaTile)
+	return s
 }
 
-// CollectRange returns every ordered triplet with first index in
-// [xlo, xhi) whose ζ exceeds floor — the shard-sized band-collection phase.
-// Concatenating the ranges of a partition yields exactly the candidate set
-// a full collection pass produces (order aside, which no consumer depends
-// on). ctx is polled per row.
-func (s *ZetaScanState) CollectRange(ctx context.Context, xlo, xhi int, floor float64) ([]BandTriplet, error) {
-	var out []BandTriplet
-	if s.n < 3 {
-		return out, ctx.Err()
+// PatchRows implements ScanState: dirty log rows are recomputed
+// wholesale, dirty column entries per clean row, and the affected extrema
+// re-derived.
+func (s *ZetaScanState) PatchRows(dirty []int, rowsOnly bool) {
+	if s.n < 3 || len(dirty) == 0 {
+		return
 	}
-	invT := 1 / floor
-	amgm := 2 * math.Ln2 * floor
-	for x := xlo; x < xhi; x++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rowX := s.logs[x*s.n : (x+1)*s.n]
-		for z := 0; z < s.n; z++ {
-			if z != x {
-				out = s.collectPair(out, rowX, x, z, invT, amgm)
+	n := s.n
+	mask := DirtyMask(n, dirty)
+	for x := 0; x < n; x++ {
+		row := s.m.row(x)
+		out := s.vals[x*n : (x+1)*n]
+		if mask[x] {
+			for j, v := range row {
+				out[j] = math.Log(v)
 			}
+			continue
+		}
+		if rowsOnly {
+			continue
+		}
+		for _, r := range dirty {
+			out[r] = math.Log(row[r])
 		}
 	}
-	return out, nil
+	s.refreshExtrema(dirty, rowsOnly)
 }
 
-// RepairRange re-scans the dirty-incident triplets with first index in
-// [xlo, xhi) after PatchRows, returning those above floor — the shard-sized
-// repair phase. mask must be the dirty-node membership mask (len n).
+// CollectRange implements ScanState.
+func (s *ZetaScanState) CollectRange(ctx context.Context, xlo, xhi int, floor float64) ([]BandTriplet, error) {
+	return rangeScan(ctx, s.n, xlo, xhi, func(out []BandTriplet, x int) []BandTriplet {
+		return s.collectRow(out, x, floor)
+	})
+}
+
+// RepairRange implements ScanState.
 func (s *ZetaScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, floor float64) ([]BandTriplet, error) {
-	var out []BandTriplet
-	if s.n < 3 {
-		return out, ctx.Err()
-	}
-	invT := 1 / floor
-	amgm := 2 * math.Ln2 * floor
 	zList := make([]int32, 0, s.n)
-	for x := xlo; x < xhi; x++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	return rangeScan(ctx, s.n, xlo, xhi, func(out []BandTriplet, x int) []BandTriplet {
+		out, zList = s.repairRow(out, x, dirty, mask, floor, zList)
+		return out
+	})
+}
+
+// collectRow appends row x's triplets above floor: every (x, ·, z) pair.
+func (s *ZetaScanState) collectRow(local []BandTriplet, x int, floor float64) []BandTriplet {
+	invT, amgm := 1/floor, 2*math.Ln2*floor
+	rowX := s.vals[x*s.n : (x+1)*s.n]
+	for z := 0; z < s.n; z++ {
+		if z != x {
+			local = s.collectPair(local, rowX, x, z, invT, amgm)
 		}
-		out, zList = s.repairRow(out, x, dirty, mask, invT, amgm, zList)
 	}
-	return out, nil
+	return local
 }
 
 // repairRow collects row x's dirty-incident triplets above the floor —
-// the shared inner body of RepairRange and the pool-parallel
-// ZetaTracker.Repair. zList is scratch for the shortlist of viable z,
+// RepairRange's inner body. zList is scratch for the shortlist of viable z,
 // returned for reuse.
-func (s *ZetaScanState) repairRow(local []BandTriplet, x int, dirty []int, mask []bool, invT, amgm float64, zList []int32) ([]BandTriplet, []int32) {
-	n := s.n
-	rowX := s.logs[x*n : (x+1)*n]
+func (s *ZetaScanState) repairRow(local []BandTriplet, x int, dirty []int, mask []bool, floor float64, zList []int32) ([]BandTriplet, []int32) {
 	if mask[x] {
 		// Every triplet of a dirty row changed: scan all pairs.
-		for z := 0; z < n; z++ {
-			if z != x {
-				local = s.collectPair(local, rowX, x, z, invT, amgm)
-			}
-		}
-		return local, zList
+		return s.collectRow(local, x, floor), zList
 	}
+	n := s.n
+	rowX := s.vals[x*n : (x+1)*n]
+	invT, amgm := 1/floor, 2*math.Ln2*floor
 	for _, z := range dirty {
 		if z != x {
 			local = s.collectPair(local, rowX, x, z, invT, amgm)
@@ -276,7 +339,7 @@ func (s *ZetaScanState) repairRow(local []BandTriplet, x int, dirty []int, mask 
 			if b >= bLimY || a <= b {
 				continue
 			}
-			c := s.logs[z*n+y]
+			c := s.vals[z*n+y]
 			if a <= c || b+c+amgm >= 2*a {
 				continue
 			}
@@ -306,7 +369,7 @@ func (s *ZetaScanState) collectPair(local []BandTriplet, rowX []float64, x, z in
 		return local
 	}
 	n := s.n
-	rowZ := s.logs[z*n : (z+1)*n]
+	rowZ := s.vals[z*n : (z+1)*n]
 	tau := 1 / invT
 	aMin := (b + s.rowMin[z] + amgm) / 2
 	for y := 0; y < n; y++ {
@@ -331,127 +394,61 @@ func (s *ZetaScanState) collectPair(local []BandTriplet, rowX []float64, x, z in
 	return local
 }
 
-// VarphiScanState is the ϕ scan replica: the dense matrix plus its decay
-// extrema, with the same serial row-range partial scans as ZetaScanState.
-type VarphiScanState struct {
-	m *Matrix
-	n int
-
-	rowMaxF, rowMinF, colMinF []float64 // off-diagonal extrema of f
-}
+// VarphiScanState is the ϕ scan replica: the dense matrix itself (read
+// live, no private copy) plus its decay extrema.
+type VarphiScanState struct{ scanState }
 
 // NewVarphiScanState derives the pruning extrema of m for ϕ range scans.
 func NewVarphiScanState(m *Matrix) *VarphiScanState {
-	n := m.N()
-	s := &VarphiScanState{m: m, n: n}
-	if n < 3 {
-		return s
+	s := &VarphiScanState{scanState{p: ParamVarphi, m: m, n: m.N()}}
+	if s.n >= 3 {
+		s.setVals(m.f)
 	}
-	s.rowMaxF, s.rowMinF = rowExtrema(m.f, n)
-	s.colMinF = colMinima(m.f, n)
 	return s
 }
 
-// N returns the number of nodes scanned.
-func (s *VarphiScanState) N() int { return s.n }
-
-// PatchRows refreshes the extrema after the matrix mutated on the dirty
-// nodes' rows (and columns, unless rowsOnly). The matrix itself is read
-// live, so only the derived bounds need repair.
+// PatchRows implements ScanState. The matrix is read live, so only the
+// derived bounds need repair.
 func (s *VarphiScanState) PatchRows(dirty []int, rowsOnly bool) {
 	if s.n < 3 || len(dirty) == 0 {
 		return
 	}
-	if rowsOnly {
-		for _, r := range dirty {
-			s.refreshRowF(r)
-		}
-	} else {
-		s.rowMaxF, s.rowMinF = rowExtrema(s.m.f, s.n)
-	}
-	refreshColMinima(s.colMinF, s.m.f, s.n, dirty)
+	s.refreshExtrema(dirty, rowsOnly)
 }
 
-// refreshRowF re-derives one row's decay extrema after the row mutated.
-func (s *VarphiScanState) refreshRowF(x int) {
-	row := s.m.row(x)
-	mx, mn := math.Inf(-1), math.Inf(1)
-	for j, v := range row {
-		if j == x {
-			continue
-		}
-		if v > mx {
-			mx = v
-		}
-		if v < mn {
-			mn = v
-		}
-	}
-	s.rowMaxF[x], s.rowMinF[x] = mx, mn
-}
-
-// MaxRange returns the exact ϕ maximum over triplets with first index in
-// [xlo, xhi) — ϕ's shard-sized partial reduction (see
-// ZetaScanState.MaxRange). sym halves the scan on exactly symmetric spaces
-// (z starts at x+1, as in Varphi).
-func (s *VarphiScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	if s.n < 3 || xlo >= xhi {
-		return varphiFloorValue, ctx.Err()
-	}
-	scan := newMaxScan(denseRows(s.m.f, s.n), s.rowMaxF, s.rowMinF, sym, 0, varphiFloorValue)
-	return scan.serial(ctx, xlo, xhi, (*maxScan).varphiTile)
-}
-
-// CollectRange returns every triplet with first index in [xlo, xhi) whose
-// ϕ ratio exceeds floor (see ZetaScanState.CollectRange).
+// CollectRange implements ScanState.
 func (s *VarphiScanState) CollectRange(ctx context.Context, xlo, xhi int, floor float64) ([]BandTriplet, error) {
-	var out []BandTriplet
-	if s.n < 3 {
-		return out, ctx.Err()
-	}
-	for x := xlo; x < xhi; x++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rowX := s.m.row(x)
-		for y := 0; y < s.n; y++ {
-			if y != x {
-				out = s.collectPair(out, rowX, x, y, floor)
-			}
-		}
-	}
-	return out, nil
+	return rangeScan(ctx, s.n, xlo, xhi, func(out []BandTriplet, x int) []BandTriplet {
+		return s.collectRow(out, x, floor)
+	})
 }
 
-// RepairRange re-scans the dirty-incident ϕ triplets with first index in
-// [xlo, xhi), returning those above floor (see ZetaScanState.RepairRange).
+// RepairRange implements ScanState.
 func (s *VarphiScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, floor float64) ([]BandTriplet, error) {
-	var out []BandTriplet
-	if s.n < 3 {
-		return out, ctx.Err()
-	}
-	for x := xlo; x < xhi; x++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	return rangeScan(ctx, s.n, xlo, xhi, func(out []BandTriplet, x int) []BandTriplet {
+		return s.repairRow(out, x, dirty, mask, floor)
+	})
+}
+
+// collectRow appends row x's ratios above tau: every (x, y, ·) pair.
+func (s *VarphiScanState) collectRow(local []BandTriplet, x int, tau float64) []BandTriplet {
+	rowX := s.m.row(x)
+	for y := 0; y < s.n; y++ {
+		if y != x {
+			local = s.collectPair(local, rowX, x, y, tau)
 		}
-		out = s.repairRow(out, x, dirty, mask, floor)
 	}
-	return out, nil
+	return local
 }
 
 // repairRow collects row x's dirty-incident ϕ triplets above the floor —
-// the shared inner body of RepairRange and VarphiTracker.Repair.
+// RepairRange's inner body.
 func (s *VarphiScanState) repairRow(local []BandTriplet, x int, dirty []int, mask []bool, tau float64) []BandTriplet {
+	if mask[x] {
+		return s.collectRow(local, x, tau)
+	}
 	n := s.n
 	rowX := s.m.row(x)
-	if mask[x] {
-		for y := 0; y < n; y++ {
-			if y != x {
-				local = s.collectPair(local, rowX, x, y, tau)
-			}
-		}
-		return local
-	}
 	for _, y := range dirty {
 		if y != x {
 			local = s.collectPair(local, rowX, x, y, tau)
@@ -464,7 +461,7 @@ func (s *VarphiScanState) repairRow(local []BandTriplet, x int, dirty []int, mas
 		fxz := rowX[z]
 		// Whole-pair prune for fixed (x, z): the largest possible ratio
 		// pairs fxz with the smallest f(x,y) and f(y,z).
-		if fxz <= tau*(s.rowMinF[x]+s.colMinF[z]) {
+		if fxz <= tau*(s.rowMin[x]+s.colMin[z]) {
 			continue
 		}
 		for y := 0; y < n; y++ {
@@ -485,7 +482,7 @@ func (s *VarphiScanState) collectPair(local []BandTriplet, rowX []float64, x, y 
 	fxy := rowX[y]
 	// Whole-pair prune: even the largest numerator over the smallest
 	// denominator cannot reach the floor.
-	if s.rowMaxF[x] <= tau*(fxy+s.rowMinF[y]) {
+	if s.rowMax[x] <= tau*(fxy+s.rowMin[y]) {
 		return local
 	}
 	n := s.n

@@ -157,7 +157,7 @@ func NewMatrix(rows [][]float64) (*Matrix, error) {
 // trace cleaning). Validation matches NewMatrix; diagonal entries are
 // forced to zero. The caller must not retain flat.
 func NewMatrixFlat(n int, flat []float64) (*Matrix, error) {
-	if n < 0 || len(flat) != n*n {
+	if n < 0 || n > len(flat) || len(flat) != n*n { // n ≤ len(flat) keeps n*n from overflowing
 		return nil, fmt.Errorf("%w: %d entries for %d nodes", ErrShape, len(flat), n)
 	}
 	m := &Matrix{n: n, f: flat}

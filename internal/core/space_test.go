@@ -48,6 +48,23 @@ func TestNewMatrixValidation(t *testing.T) {
 	}
 }
 
+// TestNewMatrixFlatShape: a node count whose square overflows to the
+// buffer length (2³² squared wraps to 0 on 64-bit ints) is a shape error,
+// not an index panic.
+func TestNewMatrixFlatShape(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		flat []float64
+	}{{-1, nil}, {3, make([]float64, 8)}, {1 << 32, nil}} {
+		if _, err := NewMatrixFlat(tc.n, tc.flat); !errors.Is(err, ErrShape) {
+			t.Errorf("NewMatrixFlat(%d, %d values) err = %v, want ErrShape", tc.n, len(tc.flat), err)
+		}
+	}
+	if m, err := NewMatrixFlat(2, []float64{7, 1, 2, 7}); err != nil || m.F(0, 0) != 0 || m.F(1, 0) != 2 {
+		t.Fatalf("valid 2-node buffer: %v, %v", m, err)
+	}
+}
+
 func TestMatrixDiagonalForcedZero(t *testing.T) {
 	m, err := NewMatrix([][]float64{{99, 1}, {2, 99}})
 	if err != nil {

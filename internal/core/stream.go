@@ -9,16 +9,16 @@ import (
 )
 
 // Out-of-core forms of the exact triplet kernels. A StreamScan is the
-// row-streamed analogue of ZetaScanState/VarphiScanState: instead of
+// row-streamed analogue of the dense ScanStates: instead of
 // materializing the n² (log-)decay matrix it holds only the O(n) pruning
 // extrema and pages rows through a bounded tile cache (RowPager) while the
 // range scans run. The range scans are the dense ones with a paged row
 // source: the same ζ/ϕ kernels (maxscan.go) over the same float64 decays,
-// so per-range maxima merge bit-identically with ZetaScanState.MaxRange /
-// VarphiScanState.MaxRange — and therefore with the unsharded ZetaTol /
-// Varphi scans. This is what lets internal/shard row-range jobs run on
-// spaces that never fit dense float64 (see internal/tier): a worker's
-// working set is maxTiles·tileRows rows, not n².
+// so per-range maxima merge bit-identically with ScanState.MaxRange — and
+// therefore with the unsharded ZetaTol / Varphi scans. This is what lets
+// internal/shard row-range jobs run on spaces that never fit dense
+// float64 (see internal/tier): a worker's working set is
+// maxTiles·tileRows rows, not n².
 
 // Default paging geometry for streamed scans: tiles of 256 rows, at most 4
 // resident per scan. A ζ range scan touches one x-band and one z-tile at a
@@ -249,31 +249,23 @@ func NewStreamScanFrom(rs RowSpace, tol float64, tileRows, maxTiles int, ex Stre
 	return s, nil
 }
 
-// ZetaMaxRange returns the exact ζ maximum over the ordered triplets whose
-// first index lies in [xlo, xhi), streaming log-decay rows through a
-// private pager instead of reading a materialized log matrix. It runs the
-// same ζ kernel as ZetaScanState.MaxRange over the same z-tiles, so its
-// result is bit-identical and per-range maxima max-merge exactly as the
-// dense shard scans do. sym certifies exact decay symmetry (y starts at
-// x+1).
-func (s *StreamScan) ZetaMaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
+// MaxRange returns the exact maximum of p over the ordered triplets whose
+// first index lies in [xlo, xhi), streaming rows (log-decay rows for ζ,
+// raw decay rows for ϕ) through a private pager instead of reading a
+// materialized matrix. It runs the same kernel as ScanState.MaxRange over
+// the same tiles, so its result is bit-identical and per-range maxima
+// max-merge exactly as the dense shard scans do. sym certifies exact decay
+// symmetry and halves the scan.
+func (s *StreamScan) MaxRange(ctx context.Context, p Param, xlo, xhi int, sym bool) (float64, error) {
+	spec := params[p]
 	if s.n < 3 || xlo >= xhi {
-		return DefaultZetaFloor, ctx.Err()
+		return spec.floor, ctx.Err()
 	}
-	rows := pagedRows(NewRowPager(s.rs, s.tileRows, s.maxTiles, lnRow), s.n)
-	scan := newMaxScan(rows, s.logMax, s.logMin, sym, s.tol, DefaultZetaFloor)
-	return scan.serial(ctx, xlo, xhi, (*maxScan).zetaTile)
-}
-
-// VarphiMaxRange returns the exact ϕ maximum over triplets with first index
-// in [xlo, xhi), streaming raw decay rows — the ϕ analogue of ZetaMaxRange
-// over the ϕ kernel. sym halves the scan on exactly symmetric spaces
-// (z starts at x+1).
-func (s *StreamScan) VarphiMaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	if s.n < 3 || xlo >= xhi {
-		return varphiFloorValue, ctx.Err()
+	var transform func(row []float64)
+	rowMax, rowMin := s.fMax, s.fMin
+	if spec.log {
+		transform, rowMax, rowMin = lnRow, s.logMax, s.logMin
 	}
-	rows := pagedRows(NewRowPager(s.rs, s.tileRows, s.maxTiles, nil), s.n)
-	scan := newMaxScan(rows, s.fMax, s.fMin, sym, 0, varphiFloorValue)
-	return scan.serial(ctx, xlo, xhi, (*maxScan).varphiTile)
+	rows := pagedRows(NewRowPager(s.rs, s.tileRows, s.maxTiles, transform), s.n)
+	return newMaxScan(rows, rowMax, rowMin, sym, s.tol, spec.floor).serial(ctx, xlo, xhi, spec.tile)
 }

@@ -91,7 +91,7 @@ func TestRowPagerLRURevisit(t *testing.T) {
 
 // TestStreamScanMatchesDenseRanges is the bit-identity property the sharded
 // out-of-core path rests on: for every range partition, the streamed
-// ZetaMaxRange / VarphiMaxRange equal the dense ZetaScanState /
+// MaxRange (ζ and ϕ) equals the dense ZetaScanState /
 // VarphiScanState ranges exactly, and their max-merge equals the unsharded
 // full scans.
 func TestStreamScanMatchesDenseRanges(t *testing.T) {
@@ -119,41 +119,41 @@ func TestStreamScanMatchesDenseRanges(t *testing.T) {
 			for _, r := range ranges {
 				wantZ, err := zs.MaxRange(ctx, r[0], r[1], tc.sym)
 				if err != nil {
-					t.Fatalf("dense ZetaMaxRange: %v", err)
+					t.Fatalf("dense zeta MaxRange: %v", err)
 				}
-				gotZ, err := ss.ZetaMaxRange(ctx, r[0], r[1], tc.sym)
+				gotZ, err := ss.MaxRange(ctx, ParamZeta, r[0], r[1], tc.sym)
 				if err != nil {
-					t.Fatalf("streamed ZetaMaxRange: %v", err)
+					t.Fatalf("streamed zeta MaxRange: %v", err)
 				}
 				if gotZ != wantZ {
-					t.Fatalf("ZetaMaxRange[%d,%d) = %v, dense %v", r[0], r[1], gotZ, wantZ)
+					t.Fatalf("zeta MaxRange[%d,%d) = %v, dense %v", r[0], r[1], gotZ, wantZ)
 				}
 				wantV, err := vs.MaxRange(ctx, r[0], r[1], tc.sym)
 				if err != nil {
-					t.Fatalf("dense VarphiMaxRange: %v", err)
+					t.Fatalf("dense varphi MaxRange: %v", err)
 				}
-				gotV, err := ss.VarphiMaxRange(ctx, r[0], r[1], tc.sym)
+				gotV, err := ss.MaxRange(ctx, ParamVarphi, r[0], r[1], tc.sym)
 				if err != nil {
-					t.Fatalf("streamed VarphiMaxRange: %v", err)
+					t.Fatalf("streamed varphi MaxRange: %v", err)
 				}
 				if gotV != wantV {
-					t.Fatalf("VarphiMaxRange[%d,%d) = %v, dense %v", r[0], r[1], gotV, wantV)
+					t.Fatalf("varphi MaxRange[%d,%d) = %v, dense %v", r[0], r[1], gotV, wantV)
 				}
 			}
 			// Max-merge over a 3-way partition reproduces the full scans.
 			cuts := []int{0, tc.n / 3, 2 * tc.n / 3, tc.n}
-			zMerged, vMerged := DefaultZetaFloor, varphiFloorValue
+			zMerged, vMerged := DefaultZetaFloor, VarphiFloor
 			for i := 0; i+1 < len(cuts); i++ {
-				z, err := ss.ZetaMaxRange(ctx, cuts[i], cuts[i+1], tc.sym)
+				z, err := ss.MaxRange(ctx, ParamZeta, cuts[i], cuts[i+1], tc.sym)
 				if err != nil {
-					t.Fatalf("ZetaMaxRange: %v", err)
+					t.Fatalf("zeta MaxRange: %v", err)
 				}
 				if z > zMerged {
 					zMerged = z
 				}
-				v, err := ss.VarphiMaxRange(ctx, cuts[i], cuts[i+1], tc.sym)
+				v, err := ss.MaxRange(ctx, ParamVarphi, cuts[i], cuts[i+1], tc.sym)
 				if err != nil {
-					t.Fatalf("VarphiMaxRange: %v", err)
+					t.Fatalf("varphi MaxRange: %v", err)
 				}
 				if v > vMerged {
 					vMerged = v
@@ -177,10 +177,10 @@ func TestStreamScanDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStreamScan: %v", err)
 	}
-	if z, err := ss.ZetaMaxRange(ctx, 0, 2, false); err != nil || z != DefaultZetaFloor {
+	if z, err := ss.MaxRange(ctx, ParamZeta, 0, 2, false); err != nil || z != DefaultZetaFloor {
 		t.Fatalf("ζ on n=2 = %v, %v; want floor", z, err)
 	}
-	if v, err := ss.VarphiMaxRange(ctx, 0, 2, false); err != nil || v != varphiFloorValue {
+	if v, err := ss.MaxRange(ctx, ParamVarphi, 0, 2, false); err != nil || v != VarphiFloor {
 		t.Fatalf("ϕ on n=2 = %v, %v; want floor", v, err)
 	}
 	m := streamTestMatrix(t, 8, 3, false)
@@ -188,7 +188,7 @@ func TestStreamScanDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStreamScan: %v", err)
 	}
-	if z, err := ss.ZetaMaxRange(ctx, 5, 5, false); err != nil || z != DefaultZetaFloor {
+	if z, err := ss.MaxRange(ctx, ParamZeta, 5, 5, false); err != nil || z != DefaultZetaFloor {
 		t.Fatalf("ζ on empty range = %v, %v; want floor", z, err)
 	}
 }
@@ -206,10 +206,10 @@ func TestStreamScanCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStreamScan: %v", err)
 	}
-	if _, err := ss.ZetaMaxRange(cancelled, 0, 32, false); err != context.Canceled {
-		t.Fatalf("cancelled ZetaMaxRange err = %v", err)
+	if _, err := ss.MaxRange(cancelled, ParamZeta, 0, 32, false); err != context.Canceled {
+		t.Fatalf("cancelled zeta MaxRange err = %v", err)
 	}
-	if _, err := ss.VarphiMaxRange(cancelled, 0, 32, false); err != context.Canceled {
-		t.Fatalf("cancelled VarphiMaxRange err = %v", err)
+	if _, err := ss.MaxRange(cancelled, ParamVarphi, 0, 32, false); err != context.Canceled {
+		t.Fatalf("cancelled varphi MaxRange err = %v", err)
 	}
 }

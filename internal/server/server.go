@@ -160,8 +160,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/sessions/{id}", api("session_info", s.handleInfo))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", api("delete_session", s.handleDelete))
 	s.mux.HandleFunc("POST /v1/sessions/{id}/mutations", api("mutate", s.handleMutate))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/zeta", api("zeta", s.handleZeta))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/phi", api("phi", s.handlePhi))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/zeta", api("zeta", s.metricityHandler("zeta", Session.ZetaCtx, Session.ZetaEstimate)))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/phi", api("phi", s.metricityHandler("phi", Session.PhiCtx, Session.PhiEstimate)))
 	s.mux.HandleFunc("GET /v1/sessions/{id}/affectance", api("affectance", s.handleAffectance))
 	s.mux.HandleFunc("GET /v1/sessions/{id}/capacity", api("capacity", s.handleCapacity))
 	s.mux.HandleFunc("GET /v1/sessions/{id}/schedule", api("schedule", s.handleSchedule))
@@ -584,40 +584,28 @@ func toEstimateJSON(e core.SampledEstimate) *estimateJSON {
 	}
 }
 
-func (s *Server) handleZeta(w http.ResponseWriter, r *http.Request) {
-	ls := s.session(w, r)
-	if ls == nil {
-		return
+// metricityHandler serves one triplet parameter of a session — ζ, or
+// φ = lg ϕ — under key, with the sampled estimate's concentration summary
+// when the session has one.
+func (s *Server) metricityHandler(key string, value func(Session, context.Context) (float64, error),
+	estimate func(Session) (core.SampledEstimate, bool)) func(http.ResponseWriter, *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ls := s.session(w, r)
+		if ls == nil {
+			return
+		}
+		v, err := value(ls.sess, r.Context())
+		if err != nil {
+			writeComputeError(w, r, err)
+			return
+		}
+		approx, _ := ls.sess.MetricityApproximate()
+		resp := map[string]any{key: v, "version": ls.sess.Version(), "approximate": approx}
+		if est, ok := estimate(ls.sess); ok {
+			resp["estimate"] = toEstimateJSON(est)
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	z, err := ls.sess.ZetaCtx(r.Context())
-	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	approx, _ := ls.sess.MetricityApproximate()
-	resp := map[string]any{"zeta": z, "version": ls.sess.Version(), "approximate": approx}
-	if est, ok := ls.sess.ZetaEstimate(); ok {
-		resp["estimate"] = toEstimateJSON(est)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handlePhi(w http.ResponseWriter, r *http.Request) {
-	ls := s.session(w, r)
-	if ls == nil {
-		return
-	}
-	phi, err := ls.sess.PhiCtx(r.Context())
-	if err != nil {
-		writeComputeError(w, r, err)
-		return
-	}
-	approx, _ := ls.sess.MetricityApproximate()
-	resp := map[string]any{"phi": phi, "version": ls.sess.Version(), "approximate": approx}
-	if est, ok := ls.sess.PhiEstimate(); ok {
-		resp["estimate"] = toEstimateJSON(est)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // powerOf builds the request's power vector from the query: power =

@@ -36,22 +36,13 @@ func (w *blockingWorker) block(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (w *blockingWorker) ZetaMax(ctx context.Context, _ shard.ScanJob) (shard.MaxResult, error) {
+func (w *blockingWorker) Max(ctx context.Context, _ shard.ScanJob) (shard.MaxResult, error) {
 	return shard.MaxResult{}, w.block(ctx)
 }
-func (w *blockingWorker) ZetaBand(ctx context.Context, _ shard.BandJob) (shard.BandResult, error) {
+func (w *blockingWorker) Band(ctx context.Context, _ shard.BandJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.block(ctx)
 }
-func (w *blockingWorker) ZetaRepair(ctx context.Context, _ shard.RepairJob) (shard.BandResult, error) {
-	return shard.BandResult{}, w.block(ctx)
-}
-func (w *blockingWorker) VarphiMax(ctx context.Context, _ shard.ScanJob) (shard.MaxResult, error) {
-	return shard.MaxResult{}, w.block(ctx)
-}
-func (w *blockingWorker) VarphiBand(ctx context.Context, _ shard.BandJob) (shard.BandResult, error) {
-	return shard.BandResult{}, w.block(ctx)
-}
-func (w *blockingWorker) VarphiRepair(ctx context.Context, _ shard.RepairJob) (shard.BandResult, error) {
+func (w *blockingWorker) Repair(ctx context.Context, _ shard.RepairJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.block(ctx)
 }
 func (w *blockingWorker) AffectanceRows(ctx context.Context, _ shard.AffectanceJob) (shard.AffectanceBlock, error) {
@@ -69,22 +60,13 @@ func (w *failingWorker) fail() error {
 	return w.err
 }
 
-func (w *failingWorker) ZetaMax(context.Context, shard.ScanJob) (shard.MaxResult, error) {
+func (w *failingWorker) Max(context.Context, shard.ScanJob) (shard.MaxResult, error) {
 	return shard.MaxResult{}, w.fail()
 }
-func (w *failingWorker) ZetaBand(context.Context, shard.BandJob) (shard.BandResult, error) {
+func (w *failingWorker) Band(context.Context, shard.BandJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.fail()
 }
-func (w *failingWorker) ZetaRepair(context.Context, shard.RepairJob) (shard.BandResult, error) {
-	return shard.BandResult{}, w.fail()
-}
-func (w *failingWorker) VarphiMax(context.Context, shard.ScanJob) (shard.MaxResult, error) {
-	return shard.MaxResult{}, w.fail()
-}
-func (w *failingWorker) VarphiBand(context.Context, shard.BandJob) (shard.BandResult, error) {
-	return shard.BandResult{}, w.fail()
-}
-func (w *failingWorker) VarphiRepair(context.Context, shard.RepairJob) (shard.BandResult, error) {
+func (w *failingWorker) Repair(context.Context, shard.RepairJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.fail()
 }
 func (w *failingWorker) AffectanceRows(context.Context, shard.AffectanceJob) (shard.AffectanceBlock, error) {

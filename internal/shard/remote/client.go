@@ -239,54 +239,32 @@ func (c *Client) version() uint64 {
 	return c.ver()
 }
 
-// ZetaMax implements shard.Worker.
-func (c *Client) ZetaMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
-	var res shard.MaxResult
-	err := c.call(ctx, methodZetaMax, c.version(), &job, &res)
+// scanCall runs one version-fenced scan exchange.
+func scanCall[R any](ctx context.Context, c *Client, method string, job any) (R, error) {
+	var res R
+	err := c.call(ctx, method, c.version(), job, &res)
 	return res, err
 }
 
-// ZetaBand implements shard.Worker.
-func (c *Client) ZetaBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := c.call(ctx, methodZetaBand, c.version(), &job, &res)
-	return res, err
+// Max implements shard.Worker.
+func (c *Client) Max(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
+	return scanCall[shard.MaxResult](ctx, c, methodMax, &job)
 }
 
-// ZetaRepair implements shard.Worker.
-func (c *Client) ZetaRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := c.call(ctx, methodZetaRepair, c.version(), &job, &res)
-	return res, err
+// Band implements shard.Worker.
+func (c *Client) Band(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
+	return scanCall[shard.BandResult](ctx, c, methodBand, &job)
 }
 
-// VarphiMax implements shard.Worker.
-func (c *Client) VarphiMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
-	var res shard.MaxResult
-	err := c.call(ctx, methodVarphiMax, c.version(), &job, &res)
-	return res, err
-}
-
-// VarphiBand implements shard.Worker.
-func (c *Client) VarphiBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := c.call(ctx, methodVarphiBand, c.version(), &job, &res)
-	return res, err
-}
-
-// VarphiRepair implements shard.Worker.
-func (c *Client) VarphiRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := c.call(ctx, methodVarphiRepair, c.version(), &job, &res)
-	return res, err
+// Repair implements shard.Worker.
+func (c *Client) Repair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
+	return scanCall[shard.BandResult](ctx, c, methodRepair, &job)
 }
 
 // AffectanceRows implements shard.Worker.
 func (c *Client) AffectanceRows(ctx context.Context, job shard.AffectanceJob) (shard.AffectanceBlock, error) {
-	wj := affJob{Links: job.Links, Factor: Floats(job.Factor), Power: Floats(job.Power), Recv: job.Recv, Send: job.Send}
-	var blk affBlock
-	if err := c.call(ctx, methodAffRows, c.version(), &wj, &blk); err != nil {
-		return shard.AffectanceBlock{}, err
-	}
-	return shard.AffectanceBlock{Lo: blk.Lo, Rows: blk.Rows}, nil
+	blk, err := scanCall[affBlock](ctx, c, methodAffRows, &affJob{
+		Links: job.Links, Factor: job.Factor, Power: job.Power, Recv: job.Recv, Send: job.Send,
+	})
+	return shard.AffectanceBlock{Lo: blk.Lo, Rows: blk.Rows}, err
 }

@@ -59,7 +59,7 @@ func (f *FaultInjector) Wrap(slot int, t Transport) Transport {
 		n = new(int)
 		f.calls[slot] = n
 	}
-	return &faultTransport{f: f, inner: t, n: n}
+	return &faultTransport{Transport: t, f: f, n: n}
 }
 
 // faultTransport injects the plan's faults ahead of scan calls. Sync,
@@ -67,9 +67,9 @@ func (f *FaultInjector) Wrap(slot int, t Transport) Transport {
 // with jobs, so counting them would destroy determinism, and the recovery
 // exchanges must be allowed to actually recover.
 type faultTransport struct {
-	f     *FaultInjector
-	inner Transport
-	n     *int
+	Transport // the wrapped transport; Sync, Mutate, Ping and Close pass through
+	f         *FaultInjector
+	n         *int
 }
 
 // injected is a synthetic transport-level failure.
@@ -105,71 +105,33 @@ func (t *faultTransport) fault(ctx context.Context) (ok bool, err error) {
 	case fires(plan.StaleEvery):
 		return false, &Error{Kind: KindStale, Msg: "injected stale replica"}
 	case fires(plan.CrashEvery):
-		t.inner.Close()
+		t.Transport.Close()
 		return false, &injected{msg: "connection crashed mid-job"}
 	}
 	return true, nil
 }
 
-func (t *faultTransport) ZetaMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
+// inject runs one scan call behind the plan's scheduled fault.
+func inject[J, R any](ctx context.Context, t *faultTransport, job J, call func(shard.Worker, context.Context, J) (R, error)) (R, error) {
 	if ok, err := t.fault(ctx); !ok {
-		return shard.MaxResult{}, err
+		var zero R
+		return zero, err
 	}
-	return t.inner.ZetaMax(ctx, job)
+	return call(t.Transport, ctx, job)
 }
 
-func (t *faultTransport) ZetaBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.BandResult{}, err
-	}
-	return t.inner.ZetaBand(ctx, job)
+func (t *faultTransport) Max(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
+	return inject(ctx, t, job, shard.Worker.Max)
 }
 
-func (t *faultTransport) ZetaRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.BandResult{}, err
-	}
-	return t.inner.ZetaRepair(ctx, job)
+func (t *faultTransport) Band(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
+	return inject(ctx, t, job, shard.Worker.Band)
 }
 
-func (t *faultTransport) VarphiMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.MaxResult{}, err
-	}
-	return t.inner.VarphiMax(ctx, job)
-}
-
-func (t *faultTransport) VarphiBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.BandResult{}, err
-	}
-	return t.inner.VarphiBand(ctx, job)
-}
-
-func (t *faultTransport) VarphiRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.BandResult{}, err
-	}
-	return t.inner.VarphiRepair(ctx, job)
+func (t *faultTransport) Repair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
+	return inject(ctx, t, job, shard.Worker.Repair)
 }
 
 func (t *faultTransport) AffectanceRows(ctx context.Context, job shard.AffectanceJob) (shard.AffectanceBlock, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.AffectanceBlock{}, err
-	}
-	return t.inner.AffectanceRows(ctx, job)
+	return inject(ctx, t, job, shard.Worker.AffectanceRows)
 }
-
-func (t *faultTransport) Sync(ctx context.Context, snap SyncJob) error {
-	return t.inner.Sync(ctx, snap)
-}
-
-func (t *faultTransport) Mutate(ctx context.Context, mut MutateJob) error {
-	return t.inner.Mutate(ctx, mut)
-}
-
-func (t *faultTransport) Ping(ctx context.Context) (PingResult, error) {
-	return t.inner.Ping(ctx)
-}
-
-func (t *faultTransport) Close() error { return t.inner.Close() }

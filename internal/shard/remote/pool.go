@@ -149,7 +149,6 @@ type member struct {
 // by row range.
 type Pool struct {
 	cfg     PoolConfig
-	tol     float64
 	rep     *shard.Replica
 	local   shard.Worker
 	snapFn  func(version uint64) SyncJob
@@ -202,7 +201,6 @@ func newPool(cfg PoolConfig, rep *shard.Replica, snap func(version uint64) SyncJ
 	}
 	p := &Pool{
 		cfg:    cfg,
-		tol:    rep.Tol(),
 		rep:    rep,
 		local:  shard.NewLocalWorker(rep),
 		snapFn: snap,
@@ -532,10 +530,12 @@ type robustWorker struct {
 	slot int
 }
 
-func (w *robustWorker) ZetaMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
-	var res shard.MaxResult
+// route runs one job through the pool's routing (see Pool.do): whichever
+// worker serves it, its result is the slot's.
+func route[J, R any](ctx context.Context, w *robustWorker, job J, call func(shard.Worker, context.Context, J) (R, error)) (R, error) {
+	var res R
 	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.ZetaMax(ctx, job)
+		r, err := call(wk, ctx, job)
 		if err == nil {
 			res = r
 		}
@@ -544,74 +544,18 @@ func (w *robustWorker) ZetaMax(ctx context.Context, job shard.ScanJob) (shard.Ma
 	return res, err
 }
 
-func (w *robustWorker) ZetaBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.ZetaBand(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
+func (w *robustWorker) Max(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
+	return route(ctx, w, job, shard.Worker.Max)
 }
 
-func (w *robustWorker) ZetaRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.ZetaRepair(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
+func (w *robustWorker) Band(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
+	return route(ctx, w, job, shard.Worker.Band)
 }
 
-func (w *robustWorker) VarphiMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
-	var res shard.MaxResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.VarphiMax(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
-}
-
-func (w *robustWorker) VarphiBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.VarphiBand(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
-}
-
-func (w *robustWorker) VarphiRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.VarphiRepair(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
+func (w *robustWorker) Repair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
+	return route(ctx, w, job, shard.Worker.Repair)
 }
 
 func (w *robustWorker) AffectanceRows(ctx context.Context, job shard.AffectanceJob) (shard.AffectanceBlock, error) {
-	var res shard.AffectanceBlock
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.AffectanceRows(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
+	return route(ctx, w, job, shard.Worker.AffectanceRows)
 }

@@ -160,7 +160,7 @@ func (s *serverConn) run(ctx context.Context) {
 				s.mu.Unlock()
 				cancel()
 			}()
-			result, err := s.dispatch(jctx, &req)
+			result, err := s.safeDispatch(jctx, &req)
 			s.reply(req.ID, result, err)
 		}(req)
 	}
@@ -194,6 +194,19 @@ func (s *serverConn) reply(id uint64, result any, err error) {
 	}
 }
 
+// safeDispatch is dispatch with a panic answered as KindInternal: a
+// request the validation missed fails alone instead of killing the worker
+// process and every session on it.
+func (s *serverConn) safeDispatch(ctx context.Context, req *request) (result any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.opts.logf("worker: %s request panicked: %v", req.Method, p)
+			result, err = nil, &Error{Kind: KindInternal, Msg: fmt.Sprint("panic: ", p)}
+		}
+	}()
+	return s.dispatch(ctx, req)
+}
+
 // dispatch decodes and runs one request.
 func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 	switch req.Method {
@@ -215,7 +228,8 @@ func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 		return PingResult{Version: s.version, Synced: s.rep != nil}, nil
 	}
 
-	// Scan methods: all fenced on the replica version.
+	// Scan methods: all fenced on the replica version, and every job
+	// checked against the replica before a kernel indexes with it.
 	s.repMu.RLock()
 	defer s.repMu.RUnlock()
 	if s.rep == nil {
@@ -224,48 +238,39 @@ func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 	if req.Version != s.version {
 		return nil, &Error{Kind: KindStale, Msg: fmt.Sprintf("replica at version %d, request fenced on %d", s.version, req.Version)}
 	}
+	n := s.rep.N()
 	switch req.Method {
-	case methodZetaMax, methodVarphiMax:
-		var job shard.ScanJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		if req.Method == methodZetaMax {
-			return s.work.ZetaMax(ctx, job)
-		}
-		return s.work.VarphiMax(ctx, job)
-	case methodZetaBand, methodVarphiBand:
-		var job shard.BandJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		if req.Method == methodZetaBand {
-			return s.work.ZetaBand(ctx, job)
-		}
-		return s.work.VarphiBand(ctx, job)
-	case methodZetaRepair, methodVarphiRepair:
-		var job shard.RepairJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		if req.Method == methodZetaRepair {
-			return s.work.ZetaRepair(ctx, job)
-		}
-		return s.work.VarphiRepair(ctx, job)
+	case methodMax:
+		return serveJob(ctx, req.Job, n, s.work.Max)
+	case methodBand:
+		return serveJob(ctx, req.Job, n, s.work.Band)
+	case methodRepair:
+		return serveJob(ctx, req.Job, n, s.work.Repair)
 	case methodAffRows:
-		var job affJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		blk, err := s.work.AffectanceRows(ctx, shard.AffectanceJob{
-			Links: job.Links, Factor: []float64(job.Factor), Power: []float64(job.Power), Recv: job.Recv, Send: job.Send,
+		return serveJob(ctx, req.Job, n, func(ctx context.Context, job affJob) (affBlock, error) {
+			// The block must fit one reply frame; refusing a larger one
+			// bounds what a hostile job can make the worker allocate.
+			if size := int64(job.Links.Len()) * int64(len(job.Factor)); size > int64(s.opts.maxFrame()/8) {
+				return affBlock{}, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("affectance block of %d entries exceeds the frame limit", size)}
+			}
+			blk, err := s.work.AffectanceRows(ctx, job.shardJob())
+			return affBlock{Lo: blk.Lo, Rows: Floats(blk.Rows)}, err
 		})
-		if err != nil {
-			return nil, err
-		}
-		return affBlock{Lo: blk.Lo, Rows: Floats(blk.Rows)}, nil
 	}
 	return nil, &Error{Kind: KindBadRequest, Msg: "unknown method " + req.Method}
+}
+
+// serveJob decodes a scan job, checks it against the n-node replica and
+// runs it, answering KindBadRequest for a job that fails either step.
+func serveJob[J interface{ Validate(n int) error }, R any](ctx context.Context, raw json.RawMessage, n int, run func(context.Context, J) (R, error)) (any, error) {
+	var job J
+	if err := json.Unmarshal(raw, &job); err != nil {
+		return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
+	}
+	if err := job.Validate(n); err != nil {
+		return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
+	}
+	return run(ctx, job)
 }
 
 // handleSync rebuilds the replica from a full-space snapshot: either the
@@ -273,53 +278,47 @@ func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 // extrema), which reconstructs a streamed replica that scans
 // bit-identically to the coordinator's.
 func (s *serverConn) handleSync(job *SyncJob) (any, error) {
+	build := denseReplica
 	if job.Tiered != nil {
-		return s.handleTieredSync(job)
+		build = tieredReplica
 	}
-	if job.N < 0 || len(job.Flat) != job.N*job.N {
-		return nil, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("sync: %d values for n=%d", len(job.Flat), job.N)}
-	}
-	m, err := core.NewMatrixFlat(job.N, []float64(job.Flat))
+	rep, err := build(job)
 	if err != nil {
 		return nil, &Error{Kind: KindBadRequest, Msg: "sync: " + err.Error()}
 	}
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	rep := shard.NewReplica(m, job.Tol)
-	s.rep = rep
-	s.work = shard.NewLocalWorker(rep)
-	s.version = job.Version
-	s.opts.logf("worker: synced replica n=%d version=%d", job.N, job.Version)
+	s.rep, s.work, s.version = rep, shard.NewLocalWorker(rep), job.Version
+	s.opts.logf("worker: synced replica n=%d version=%d tiered=%v", job.N, job.Version, rep.Streamed())
 	return struct{}{}, nil
 }
 
-// handleTieredSync materializes a streamed replica from a tiered snapshot.
+// denseReplica builds a replica from a dense flat snapshot.
+func denseReplica(job *SyncJob) (*shard.Replica, error) {
+	m, err := core.NewMatrixFlat(job.N, []float64(job.Flat))
+	if err != nil {
+		return nil, err
+	}
+	return shard.NewReplica(m, job.Tol), nil
+}
+
+// tieredReplica materializes a streamed replica from a tiered snapshot.
 // The payload is untrusted: the config/model re-run the strict parsers,
 // tier.FromSnapshot validates the CSR structure, and the shipped extrema
 // lengths are checked against n before the scan is assembled.
-func (s *serverConn) handleTieredSync(job *SyncJob) (any, error) {
+func tieredReplica(job *SyncJob) (*shard.Replica, error) {
 	if job.N < 0 || len(job.Flat) != 0 {
-		return nil, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("sync: tiered payload with n=%d and %d dense values", job.N, len(job.Flat))}
+		return nil, fmt.Errorf("tiered payload with n=%d and %d dense values", job.N, len(job.Flat))
 	}
 	snap, ex, err := job.Tiered.decodeTiered(job.N)
 	if err != nil {
-		return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
+		return nil, err
 	}
 	ts, err := tier.FromSnapshot(snap)
 	if err != nil {
-		return nil, &Error{Kind: KindBadRequest, Msg: "sync: " + err.Error()}
+		return nil, err
 	}
-	rep, err := shard.NewStreamedReplicaFrom(ts, job.Tol, job.Tiered.TileRows, job.Tiered.MaxTiles, ex)
-	if err != nil {
-		return nil, &Error{Kind: KindBadRequest, Msg: "sync: " + err.Error()}
-	}
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	s.rep = rep
-	s.work = shard.NewLocalWorker(rep)
-	s.version = job.Version
-	s.opts.logf("worker: synced tiered replica n=%d version=%d (%d near entries)", job.N, job.Version, len(snap.NearIdx))
-	return struct{}{}, nil
+	return shard.NewStreamedReplicaFrom(ts, job.Tol, job.Tiered.TileRows, job.Tiered.MaxTiles, ex)
 }
 
 // handleMutate applies a version-fenced mutation batch to the replica and
@@ -338,6 +337,9 @@ func (s *serverConn) handleMutate(job *MutateJob) (any, error) {
 	}
 	m := s.rep.M()
 	n := m.N()
+	if err := shard.ValidNodes("dirty", job.Dirty, n); err != nil {
+		return nil, &Error{Kind: KindBadRequest, Msg: "mutate: " + err.Error()}
+	}
 	for _, re := range job.Rows {
 		if re.Index < 0 || re.Index >= n {
 			return nil, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("mutate: row %d outside [0,%d)", re.Index, n)}

@@ -49,20 +49,18 @@ import (
 	"decaynet/internal/shard"
 )
 
-// Protocol methods. Scan methods mirror shard.Worker one-to-one.
+// Protocol methods. The scan methods mirror shard.Worker one-to-one; each
+// scan job names its core.Param.
 const (
 	methodSync   = "sync"
 	methodMutate = "mutate"
 	methodPing   = "ping"
 	methodCancel = "cancel"
 
-	methodZetaMax      = "zeta_max"
-	methodZetaBand     = "zeta_band"
-	methodZetaRepair   = "zeta_repair"
-	methodVarphiMax    = "varphi_max"
-	methodVarphiBand   = "varphi_band"
-	methodVarphiRepair = "varphi_repair"
-	methodAffRows      = "aff_rows"
+	methodMax     = "max"
+	methodBand    = "band"
+	methodRepair  = "repair"
+	methodAffRows = "aff_rows"
 )
 
 // Error kinds a worker can answer with. The pool maps them to recovery
@@ -78,7 +76,7 @@ const (
 	// never completed the Sync handshake).
 	KindNoReplica = "no_replica"
 	// KindBadRequest: the request was malformed (undecodable job, unknown
-	// method, out-of-range rows).
+	// method or parameter, rows or nodes outside the replica).
 	KindBadRequest = "bad_request"
 	// KindCancelled: the job's context was cancelled server-side.
 	KindCancelled = "cancelled"
@@ -131,25 +129,14 @@ func (f Floats) MarshalJSON() ([]byte, error) {
 	for i, v := range f {
 		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 	}
-	out := make([]byte, 2+base64.StdEncoding.EncodedLen(len(raw)))
-	out[0] = '"'
-	base64.StdEncoding.Encode(out[1:], raw)
-	out[len(out)-1] = '"'
-	return out, nil
+	return wrapBase64(raw), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (f *Floats) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("remote: float array is not a base64 string: %w", err)
-	}
-	raw, err := base64.StdEncoding.DecodeString(s)
+	raw, err := unwrapBase64(data, 8)
 	if err != nil {
-		return fmt.Errorf("remote: float array base64: %w", err)
-	}
-	if len(raw)%8 != 0 {
-		return fmt.Errorf("remote: float array payload is %d bytes, not a multiple of 8", len(raw))
+		return err
 	}
 	vals := make([]float64, len(raw)/8)
 	for i := range vals {
@@ -323,6 +310,15 @@ type affJob struct {
 	Recv   []int       `json:"recv"`
 	Send   []int       `json:"send"`
 }
+
+// shardJob converts the wire form back to the shard job.
+func (j affJob) shardJob() shard.AffectanceJob {
+	return shard.AffectanceJob{Links: j.Links, Factor: j.Factor, Power: j.Power, Recv: j.Recv, Send: j.Send}
+}
+
+// Validate checks the job against a replica of n nodes (see
+// shard.AffectanceJob.Validate).
+func (j affJob) Validate(n int) error { return j.shardJob().Validate(n) }
 
 // affBlock mirrors shard.AffectanceBlock (same reasoning).
 type affBlock struct {

@@ -12,7 +12,7 @@
 // schedule-independent — maxima merge with max, bands concatenate in shard
 // order, row blocks are disjoint — and every per-triplet value is computed
 // by the same deterministic kernels as the unsharded scans
-// (core.ZetaScanState / core.VarphiScanState), so the sharded results are
+// (core.ScanState), so the sharded results are
 // bit-identical to the single-machine ones. That property is what lets
 // decaynet.WithShards route a live session through the coordinator
 // transparently and is enforced by the equivalence property tests.
@@ -69,12 +69,13 @@ func Split(n, k int) []Range {
 	return out
 }
 
-// ScanJob asks a worker for the exact maximum over the triplets whose
-// first index lies in its row range. Sym certifies exact decay symmetry,
-// allowing the halved scan.
+// ScanJob asks a worker for the exact maximum of Param over the triplets
+// whose first index lies in its row range. Sym certifies exact decay
+// symmetry, allowing the halved scan.
 type ScanJob struct {
-	Rows Range `json:"rows"`
-	Sym  bool  `json:"sym"`
+	Param core.Param `json:"param"`
+	Rows  Range      `json:"rows"`
+	Sym   bool       `json:"sym"`
 }
 
 // MaxResult is a shard's partial maximum.
@@ -82,21 +83,25 @@ type MaxResult struct {
 	Max float64 `json:"max"`
 }
 
-// BandJob asks a worker for every triplet in its row range whose value
-// exceeds Floor — the band-collection phase seeding the global trackers.
+// BandJob asks a worker for every triplet in its row range whose Param
+// value exceeds Floor — the band-collection phase seeding the global
+// trackers.
 type BandJob struct {
-	Rows  Range   `json:"rows"`
-	Floor float64 `json:"floor"`
+	Param core.Param `json:"param"`
+	Rows  Range      `json:"rows"`
+	Floor float64    `json:"floor"`
 }
 
 // RepairJob asks a worker to re-scan the dirty-incident triplets of its
-// row range after a mutation, collecting those above Floor. RowsOnly
-// mirrors the tracker contract (only dirty rows changed, not columns).
+// row range after a mutation, collecting those whose Param value exceeds
+// Floor. RowsOnly mirrors the tracker contract (only dirty rows changed,
+// not columns).
 type RepairJob struct {
-	Rows     Range   `json:"rows"`
-	Dirty    []int   `json:"dirty"`
-	RowsOnly bool    `json:"rows_only"`
-	Floor    float64 `json:"floor"`
+	Param    core.Param `json:"param"`
+	Rows     Range      `json:"rows"`
+	Dirty    []int      `json:"dirty"`
+	RowsOnly bool       `json:"rows_only"`
+	Floor    float64    `json:"floor"`
 }
 
 // BandResult is a shard's collected band.
@@ -124,18 +129,75 @@ type AffectanceBlock struct {
 	Rows []float64 `json:"rows"`
 }
 
+// Validate checks the job against a replica of n nodes: a known
+// parameter and rows within [0, n). Every job decoded from the network
+// passes its Validate before a kernel indexes with it.
+func (j ScanJob) Validate(n int) error { return validScan(j.Param, j.Rows, n) }
+
+// Validate checks the job against a replica of n nodes (see ScanJob).
+func (j BandJob) Validate(n int) error { return validScan(j.Param, j.Rows, n) }
+
+// Validate checks the job against a replica of n nodes: ScanJob's checks
+// plus every dirty node in [0, n).
+func (j RepairJob) Validate(n int) error {
+	if err := validScan(j.Param, j.Rows, n); err != nil {
+		return err
+	}
+	return ValidNodes("dirty", j.Dirty, n)
+}
+
+// Validate checks the job against a replica of n nodes: the four per-link
+// vectors have one entry per link, Links lies within them, and every
+// sender and receiver is a node in [0, n).
+func (j AffectanceJob) Validate(n int) error {
+	links := len(j.Factor)
+	if len(j.Power) != links || len(j.Recv) != links || len(j.Send) != links {
+		return fmt.Errorf("shard: affectance vectors of %d/%d/%d/%d entries", links, len(j.Power), len(j.Recv), len(j.Send))
+	}
+	if err := j.Links.within(links); err != nil {
+		return err
+	}
+	if err := ValidNodes("send", j.Send, n); err != nil {
+		return err
+	}
+	return ValidNodes("recv", j.Recv, n)
+}
+
+// validScan checks a scan job's parameter and row range.
+func validScan(p core.Param, rows Range, n int) error {
+	if !p.Valid() {
+		return fmt.Errorf("shard: unknown parameter %v", p)
+	}
+	return rows.within(n)
+}
+
+// within checks 0 ≤ Lo ≤ Hi ≤ n.
+func (r Range) within(n int) error {
+	if r.Lo < 0 || r.Lo > r.Hi || r.Hi > n {
+		return fmt.Errorf("shard: range [%d,%d) outside [0,%d)", r.Lo, r.Hi, n)
+	}
+	return nil
+}
+
+// ValidNodes checks that every entry of nodes (named what) lies in [0, n).
+func ValidNodes(what string, nodes []int, n int) error {
+	for _, v := range nodes {
+		if v < 0 || v >= n {
+			return fmt.Errorf("shard: %s node %d outside [0,%d)", what, v, n)
+		}
+	}
+	return nil
+}
+
 // Worker is the serializable shard boundary: each method is one
 // request/response exchange over plain wire-format values. In-process
 // workers scan a shared Replica serially; a future transport marshals the
 // same structs to remote workers holding their own replicas. All methods
 // poll ctx per row and return ctx.Err() promptly when cancelled.
 type Worker interface {
-	ZetaMax(ctx context.Context, job ScanJob) (MaxResult, error)
-	ZetaBand(ctx context.Context, job BandJob) (BandResult, error)
-	ZetaRepair(ctx context.Context, job RepairJob) (BandResult, error)
-	VarphiMax(ctx context.Context, job ScanJob) (MaxResult, error)
-	VarphiBand(ctx context.Context, job BandJob) (BandResult, error)
-	VarphiRepair(ctx context.Context, job RepairJob) (BandResult, error)
+	Max(ctx context.Context, job ScanJob) (MaxResult, error)
+	Band(ctx context.Context, job BandJob) (BandResult, error)
+	Repair(ctx context.Context, job RepairJob) (BandResult, error)
 	AffectanceRows(ctx context.Context, job AffectanceJob) (AffectanceBlock, error)
 }
 
@@ -157,11 +219,10 @@ var ErrStreamed = errors.New("shard: operation not supported on a streamed repli
 // identically (and bit-identically); trackers and repairs return
 // ErrStreamed.
 type Replica struct {
-	mu  sync.Mutex
-	m   *core.Matrix // nil for streamed replicas
-	tol float64
-	zs  *core.ZetaScanState
-	vs  *core.VarphiScanState
+	mu     sync.Mutex
+	m      *core.Matrix // nil for streamed replicas
+	tol    float64
+	states [core.NumParams]core.ScanState // dense scan states, built on first use
 
 	rows core.RowSpace    // streamed replicas: the row source
 	ss   *core.StreamScan // streamed replicas: extrema + paging geometry
@@ -255,39 +316,27 @@ func (r *Replica) symmetric() bool {
 	return core.KnownSymmetric(r.rows)
 }
 
-// ZetaState returns the replica's ζ scan state, building it on first use.
-func (r *Replica) ZetaState() *core.ZetaScanState {
+// State returns the replica's scan state for p. A dense replica builds
+// it on first use. A streamed replica answers MaxRange by paging rows and
+// ErrStreamed for the collection and repair phases.
+func (r *Replica) State(p core.Param) core.ScanState {
+	if r.ss != nil {
+		return streamedState{ss: r.ss, p: p}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.zs == nil {
-		r.zs = core.NewZetaScanState(r.m, r.tol)
+	if r.states[p] == nil {
+		r.states[p] = core.NewScanState(p, r.m, r.tol)
 	}
-	return r.zs
+	return r.states[p]
 }
 
-// VarphiState returns the replica's ϕ scan state, building it on first use.
-func (r *Replica) VarphiState() *core.VarphiScanState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.vs == nil {
-		r.vs = core.NewVarphiScanState(r.m)
-	}
-	return r.vs
-}
-
-// InvalidateZeta drops the ζ scan state (the matrix mutated without an
+// Invalidate drops p's scan state (the matrix mutated without an
 // incremental repair); the next scan rebuilds it.
-func (r *Replica) InvalidateZeta() {
+func (r *Replica) Invalidate(p core.Param) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.zs = nil
-}
-
-// InvalidateVarphi drops the ϕ scan state.
-func (r *Replica) InvalidateVarphi() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.vs = nil
+	r.states[p] = nil
 }
 
 // M returns the dense space the replica scans. Mutating it without a
@@ -304,12 +353,37 @@ func (r *Replica) M() *core.Matrix { return r.m }
 func (r *Replica) Patch(dirty []int, rowsOnly bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.zs != nil {
-		r.zs.PatchRows(dirty, rowsOnly)
+	for _, st := range r.states {
+		if st != nil {
+			st.PatchRows(dirty, rowsOnly)
+		}
 	}
-	if r.vs != nil {
-		r.vs.PatchRows(dirty, rowsOnly)
-	}
+}
+
+// streamedState is the ScanState of a streamed replica: row-paged maxima,
+// nothing to patch, and ErrStreamed for the phases that need a dense
+// matrix.
+type streamedState struct {
+	ss *core.StreamScan
+	p  core.Param
+}
+
+func (s streamedState) Param() core.Param     { return s.p }
+func (s streamedState) N() int                { return s.ss.N() }
+func (s streamedState) PatchRows([]int, bool) {}
+
+func (s streamedState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
+	return s.ss.MaxRange(ctx, s.p, xlo, xhi, sym)
+}
+
+func (s streamedState) FullMax(context.Context) (float64, error) { return 0, ErrStreamed }
+
+func (s streamedState) CollectRange(context.Context, int, int, float64) ([]core.BandTriplet, error) {
+	return nil, ErrStreamed
+}
+
+func (s streamedState) RepairRange(context.Context, int, int, []int, []bool, float64) ([]core.BandTriplet, error) {
+	return nil, ErrStreamed
 }
 
 // localWorker is the in-process Worker: serial scans over the shared
@@ -320,55 +394,19 @@ type localWorker struct {
 	rep *Replica
 }
 
-func (w *localWorker) ZetaMax(ctx context.Context, job ScanJob) (MaxResult, error) {
-	if w.rep.Streamed() {
-		max, err := w.rep.ss.ZetaMaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
-		return MaxResult{Max: max}, err
-	}
-	max, err := w.rep.ZetaState().MaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
+func (w *localWorker) Max(ctx context.Context, job ScanJob) (MaxResult, error) {
+	max, err := w.rep.State(job.Param).MaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
 	return MaxResult{Max: max}, err
 }
 
-func (w *localWorker) ZetaBand(ctx context.Context, job BandJob) (BandResult, error) {
-	if w.rep.Streamed() {
-		return BandResult{}, ErrStreamed
-	}
-	band, err := w.rep.ZetaState().CollectRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Floor)
+func (w *localWorker) Band(ctx context.Context, job BandJob) (BandResult, error) {
+	band, err := w.rep.State(job.Param).CollectRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Floor)
 	return BandResult{Band: band}, err
 }
 
-func (w *localWorker) ZetaRepair(ctx context.Context, job RepairJob) (BandResult, error) {
-	if w.rep.Streamed() {
-		return BandResult{}, ErrStreamed
-	}
-	mask := dirtyMask(w.rep.m.N(), job.Dirty)
-	band, err := w.rep.ZetaState().RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.Floor)
-	return BandResult{Band: band}, err
-}
-
-func (w *localWorker) VarphiMax(ctx context.Context, job ScanJob) (MaxResult, error) {
-	if w.rep.Streamed() {
-		max, err := w.rep.ss.VarphiMaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
-		return MaxResult{Max: max}, err
-	}
-	max, err := w.rep.VarphiState().MaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
-	return MaxResult{Max: max}, err
-}
-
-func (w *localWorker) VarphiBand(ctx context.Context, job BandJob) (BandResult, error) {
-	if w.rep.Streamed() {
-		return BandResult{}, ErrStreamed
-	}
-	band, err := w.rep.VarphiState().CollectRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Floor)
-	return BandResult{Band: band}, err
-}
-
-func (w *localWorker) VarphiRepair(ctx context.Context, job RepairJob) (BandResult, error) {
-	if w.rep.Streamed() {
-		return BandResult{}, ErrStreamed
-	}
-	mask := dirtyMask(w.rep.m.N(), job.Dirty)
-	band, err := w.rep.VarphiState().RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.Floor)
+func (w *localWorker) Repair(ctx context.Context, job RepairJob) (BandResult, error) {
+	mask := core.DirtyMask(w.rep.N(), job.Dirty)
+	band, err := w.rep.State(job.Param).RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.Floor)
 	return BandResult{Band: band}, err
 }
 
@@ -404,17 +442,6 @@ func (w *localWorker) AffectanceRows(ctx context.Context, job AffectanceJob) (Af
 // coordinator-local computation when every remote worker is dead.
 func NewLocalWorker(rep *Replica) Worker { return &localWorker{rep: rep} }
 
-// dirtyMask builds the membership mask the repair scans consume.
-func dirtyMask(n int, dirty []int) []bool {
-	mask := make([]bool, n)
-	for _, r := range dirty {
-		if r >= 0 && r < n {
-			mask[r] = true
-		}
-	}
-	return mask
-}
-
 // Coordinator owns a row-range partition of a decay space and the shard
 // workers serving it. It is safe for concurrent use by readers; mutations
 // to the underlying space must be serialized externally (the public
@@ -436,12 +463,16 @@ func New(m *core.Matrix, tol float64, k int) (*Coordinator, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("shard: %d shards", k)
 	}
-	rep := NewReplica(m, tol)
-	c := &Coordinator{n: m.N(), ranges: Split(m.N(), k), rep: rep}
+	return newLocal(NewReplica(m, tol), k), nil
+}
+
+// newLocal builds a coordinator with k in-process workers sharing rep.
+func newLocal(rep *Replica, k int) *Coordinator {
+	c := &Coordinator{n: rep.N(), ranges: Split(rep.N(), k), rep: rep}
 	for i := 0; i < k; i++ {
 		c.work = append(c.work, &localWorker{rep: rep})
 	}
-	return c, nil
+	return c
 }
 
 // NewStreamed builds a coordinator over a row-streamed space with k
@@ -459,11 +490,7 @@ func NewStreamed(ctx context.Context, rs core.RowSpace, tol float64, k, tileRows
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{n: rep.N(), ranges: Split(rep.N(), k), rep: rep}
-	for i := 0; i < k; i++ {
-		c.work = append(c.work, &localWorker{rep: rep})
-	}
-	return c, nil
+	return newLocal(rep, k), nil
 }
 
 // NewWithWorkers builds a coordinator over an explicit worker set — one
@@ -554,21 +581,19 @@ func (c *Coordinator) EachRange(ctx context.Context, n int, body func(ctx contex
 	return ctx.Err()
 }
 
-// maxPhase fans a ScanJob over the shards and merges the partial maxima.
-func (c *Coordinator) maxPhase(ctx context.Context, sym bool, call func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error), floor float64) (float64, error) {
+// maxPhase fans a ScanJob for p over the shards and merges the partial
+// maxima.
+func (c *Coordinator) maxPhase(ctx context.Context, p core.Param, sym bool) (float64, error) {
 	maxes := make([]float64, len(c.work))
 	err := c.EachRange(ctx, c.n, func(ctx context.Context, i int, r Range) error {
-		res, err := call(ctx, c.work[i], ScanJob{Rows: r, Sym: sym})
-		if err != nil {
-			return err
-		}
+		res, err := c.work[i].Max(ctx, ScanJob{Param: p, Rows: r, Sym: sym})
 		maxes[i] = res.Max
-		return nil
+		return err
 	})
 	if err != nil {
 		return 0, err
 	}
-	best := floor
+	best := p.Floor()
 	for _, m := range maxes {
 		if m > best {
 			best = m
@@ -577,17 +602,15 @@ func (c *Coordinator) maxPhase(ctx context.Context, sym bool, call func(ctx cont
 	return best, nil
 }
 
-// bandPhase fans a BandJob over the shards and concatenates the collected
+// collectPhase fans one band-collecting job per shard — call builds the
+// job for a shard's row range and runs it — and concatenates the collected
 // bands in shard order (deterministic; no consumer depends on order).
-func (c *Coordinator) bandPhase(ctx context.Context, floor float64, call func(ctx context.Context, w Worker, job BandJob) (BandResult, error)) ([]core.BandTriplet, error) {
+func (c *Coordinator) collectPhase(ctx context.Context, call func(ctx context.Context, w Worker, r Range) (BandResult, error)) ([]core.BandTriplet, error) {
 	parts := make([][]core.BandTriplet, len(c.work))
 	err := c.EachRange(ctx, c.n, func(ctx context.Context, i int, r Range) error {
-		res, err := call(ctx, c.work[i], BandJob{Rows: r, Floor: floor})
-		if err != nil {
-			return err
-		}
+		res, err := call(ctx, c.work[i], r)
 		parts[i] = res.Band
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -599,169 +622,80 @@ func (c *Coordinator) bandPhase(ctx context.Context, floor float64, call func(ct
 	return band, nil
 }
 
-// repairPhase fans a RepairJob over the shards and concatenates the
-// dirty-incident collections.
-func (c *Coordinator) repairPhase(ctx context.Context, dirty []int, rowsOnly bool, floor float64, call func(ctx context.Context, w Worker, job RepairJob) (BandResult, error)) ([]core.BandTriplet, error) {
-	parts := make([][]core.BandTriplet, len(c.work))
-	err := c.EachRange(ctx, c.n, func(ctx context.Context, i int, r Range) error {
-		res, err := call(ctx, c.work[i], RepairJob{Rows: r, Dirty: dirty, RowsOnly: rowsOnly, Floor: floor})
-		if err != nil {
-			return err
-		}
-		parts[i] = res.Band
-		return nil
+// fullScan is the two-phase scan that seeds a tracker: a max phase fixes
+// the exact maximum of p, and a band phase collects every triplet above
+// its band floor.
+func (c *Coordinator) fullScan(ctx context.Context, p core.Param) (float64, []core.BandTriplet, error) {
+	max, err := c.maxPhase(ctx, p, false)
+	if err != nil || max <= p.Floor() {
+		return max, nil, err
+	}
+	floor := p.BandFloor(max)
+	band, err := c.collectPhase(ctx, func(ctx context.Context, w Worker, r Range) (BandResult, error) {
+		return w.Band(ctx, BandJob{Param: p, Rows: r, Floor: floor})
 	})
-	if err != nil {
-		return nil, err
-	}
-	var band []core.BandTriplet
-	for _, p := range parts {
-		band = append(band, p...)
-	}
-	return band, nil
+	return max, band, err
 }
 
-// Zeta runs the sharded exact metricity scan: per-shard row-range maxima
-// merged with max — bit-identical to core.ZetaTol. Symmetric spaces scan
-// the halved triplet set, exactly as the unsharded kernel does.
-func (c *Coordinator) Zeta(ctx context.Context) (float64, error) {
-	return c.maxPhase(ctx, c.rep.symmetric(), func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.ZetaMax(ctx, job)
-	}, core.DefaultZetaFloor)
+// Max runs the sharded exact scan of p: per-shard row-range maxima merged
+// with max — bit-identical to core.MaxCtx. Symmetric spaces scan the
+// halved triplet set, exactly as the unsharded kernels do.
+func (c *Coordinator) Max(ctx context.Context, p core.Param) (float64, error) {
+	return c.maxPhase(ctx, p, c.rep.symmetric())
 }
 
-// Varphi runs the sharded exact ϕ scan (see Zeta).
+// Zeta runs the sharded exact metricity scan (Max of ζ).
+func (c *Coordinator) Zeta(ctx context.Context) (float64, error) { return c.Max(ctx, core.ParamZeta) }
+
+// Varphi runs the sharded exact ϕ scan (Max of ϕ).
 func (c *Coordinator) Varphi(ctx context.Context) (float64, error) {
-	return c.maxPhase(ctx, c.rep.symmetric(), func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.VarphiMax(ctx, job)
-	}, core.VarphiFloor)
+	return c.Max(ctx, core.ParamVarphi)
 }
 
-// ZetaTracker builds the incremental ζ tracker through the shards: a
-// max phase fixes the exact maximum, a band phase collects every triplet
-// above the tracker floor, and the merged band seeds the global tracker —
-// which then shares its scan replica with the workers, so repairs route
-// back through them.
-func (c *Coordinator) ZetaTracker(ctx context.Context) (*core.ZetaTracker, error) {
+// Tracker builds the incremental tracker of p through the shards: the
+// two-phase full scan's merged band seeds the global tracker, which then
+// shares its scan replica with the workers, so repairs route back through
+// them.
+func (c *Coordinator) Tracker(ctx context.Context, p core.Param) (*core.Tracker, error) {
 	if c.rep.Streamed() {
 		return nil, ErrStreamed
 	}
-	st := c.rep.ZetaState()
-	zmax, err := c.maxPhase(ctx, false, func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.ZetaMax(ctx, job)
-	}, core.DefaultZetaFloor)
+	st := c.rep.State(p)
+	max, band, err := c.fullScan(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	var band []core.BandTriplet
-	if zmax > core.DefaultZetaFloor {
-		band, err = c.bandPhase(ctx, core.ZetaBandFloor(zmax), func(ctx context.Context, w Worker, job BandJob) (BandResult, error) {
-			return w.ZetaBand(ctx, job)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return core.NewZetaTrackerFrom(st, zmax, band), nil
+	return core.NewTrackerFrom(st, max, band), nil
 }
 
-// VarphiTracker is ZetaTracker's ϕ analogue.
-func (c *Coordinator) VarphiTracker(ctx context.Context) (*core.VarphiTracker, error) {
-	if c.rep.Streamed() {
-		return nil, ErrStreamed
-	}
-	st := c.rep.VarphiState()
-	vmax, err := c.maxPhase(ctx, false, func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.VarphiMax(ctx, job)
-	}, core.VarphiFloor)
-	if err != nil {
-		return nil, err
-	}
-	var band []core.BandTriplet
-	if vmax > core.VarphiFloor {
-		band, err = c.bandPhase(ctx, core.VarphiBandFloor(vmax), func(ctx context.Context, w Worker, job BandJob) (BandResult, error) {
-			return w.VarphiBand(ctx, job)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return core.NewVarphiTrackerFrom(st, vmax, band), nil
-}
-
-// RepairZeta routes a session repair through the shards: the tracker
+// Repair routes a session repair of t through the shards: the tracker
 // patches the shared replica and drops dirty candidates, every worker
 // re-scans the dirty-incident triplets of its row range (dirty rows map
 // to their owning shards' full-row rescans), and the merged band restores
 // the tracked value. A drained band falls back to the full sharded
-// two-phase rescan. Bit-identical to ZetaTracker.Repair.
-func (c *Coordinator) RepairZeta(ctx context.Context, t *core.ZetaTracker, dirty []int, rowsOnly bool) (float64, error) {
+// two-phase rescan. Bit-identical to core.Tracker.Repair.
+func (c *Coordinator) Repair(ctx context.Context, t *core.Tracker, dirty []int, rowsOnly bool) (float64, error) {
 	if c.rep.Streamed() {
 		return 0, ErrStreamed
 	}
+	p := t.Param()
 	t.PatchAndDrop(dirty, rowsOnly)
-	band, err := c.repairPhase(ctx, dirty, rowsOnly, t.Floor(), func(ctx context.Context, w Worker, job RepairJob) (BandResult, error) {
-		return w.ZetaRepair(ctx, job)
+	floor := t.Floor()
+	band, err := c.collectPhase(ctx, func(ctx context.Context, w Worker, r Range) (BandResult, error) {
+		return w.Repair(ctx, RepairJob{Param: p, Rows: r, Dirty: dirty, RowsOnly: rowsOnly, Floor: floor})
 	})
 	if err != nil {
 		return 0, err
 	}
-	z, needRescan := t.AbsorbRepair(band)
-	if !needRescan {
-		return z, nil
-	}
-	zmax, err := c.maxPhase(ctx, false, func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.ZetaMax(ctx, job)
-	}, core.DefaultZetaFloor)
-	if err != nil {
-		return 0, err
-	}
-	var full []core.BandTriplet
-	if zmax > core.DefaultZetaFloor {
-		full, err = c.bandPhase(ctx, core.ZetaBandFloor(zmax), func(ctx context.Context, w Worker, job BandJob) (BandResult, error) {
-			return w.ZetaBand(ctx, job)
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	t.Reseed(zmax, full)
-	return zmax, nil
-}
-
-// RepairVarphi is RepairZeta's ϕ analogue.
-func (c *Coordinator) RepairVarphi(ctx context.Context, t *core.VarphiTracker, dirty []int, rowsOnly bool) (float64, error) {
-	if c.rep.Streamed() {
-		return 0, ErrStreamed
-	}
-	t.PatchAndDrop(dirty, rowsOnly)
-	band, err := c.repairPhase(ctx, dirty, rowsOnly, t.Floor(), func(ctx context.Context, w Worker, job RepairJob) (BandResult, error) {
-		return w.VarphiRepair(ctx, job)
-	})
-	if err != nil {
-		return 0, err
-	}
-	v, needRescan := t.AbsorbRepair(band)
-	if !needRescan {
+	if v, needRescan := t.AbsorbRepair(band); !needRescan {
 		return v, nil
 	}
-	vmax, err := c.maxPhase(ctx, false, func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.VarphiMax(ctx, job)
-	}, core.VarphiFloor)
+	max, full, err := c.fullScan(ctx, p)
 	if err != nil {
 		return 0, err
 	}
-	var full []core.BandTriplet
-	if vmax > core.VarphiFloor {
-		full, err = c.bandPhase(ctx, core.VarphiBandFloor(vmax), func(ctx context.Context, w Worker, job BandJob) (BandResult, error) {
-			return w.VarphiBand(ctx, job)
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	t.Reseed(vmax, full)
-	return vmax, nil
+	t.Reseed(max, full)
+	return max, nil
 }
 
 // AffectanceBlocks fans an affectance build over the shards — the link

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -96,71 +97,105 @@ func TestShardedScansMatchCore(t *testing.T) {
 // TestShardedTrackerMatchesPool: a tracker seeded through the shards
 // tracks the same values as the pool-built tracker, across a mutation
 // sequence repaired through the shards, and both match from-scratch scans
-// of the mutated matrix.
+// of the mutated matrix. The sequence covers random row rewrites, a
+// row-and-column rewrite (rowsOnly=false), and the flatten-to-uniform
+// walk of core's TestTrackerHandlesDecrease, which drains the candidate
+// band and forces the coordinator's full-rescan fallback.
 func TestShardedTrackerMatchesPool(t *testing.T) {
 	ctx := context.Background()
 	n := 48
-	mShard := randMatrix(t, n, 7)
-	mPool := mShard.Clone()
-	c, err := shard.New(mShard, 1e-12, 3)
-	if err != nil {
-		t.Fatal(err)
+	fresh := map[core.Param]func(m *core.Matrix) float64{
+		core.ParamZeta:   func(m *core.Matrix) float64 { return core.ZetaTol(m, 1e-12) },
+		core.ParamVarphi: func(m *core.Matrix) float64 { return core.Varphi(m) },
 	}
-	zs, err := c.ZetaTracker(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := c.VarphiTracker(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zp, err := core.NewZetaTracker(ctx, mPool, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vp, err := core.NewVarphiTracker(ctx, mPool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zs.Zeta() != zp.Zeta() || vs.Varphi() != vp.Varphi() {
-		t.Fatalf("seeded trackers diverge: zeta %v vs %v, varphi %v vs %v",
-			zs.Zeta(), zp.Zeta(), vs.Varphi(), vp.Varphi())
-	}
-	src := rng.New(99)
-	for step := 0; step < 6; step++ {
-		r := int(src.Uint64() % uint64(n))
-		row := make([]float64, n)
-		for j := range row {
-			if j != r {
-				row[j] = src.Range(0.5, 50)
-			}
-		}
-		if err := mShard.SetRow(r, row); err != nil {
-			t.Fatal(err)
-		}
-		if err := mPool.SetRow(r, row); err != nil {
-			t.Fatal(err)
-		}
-		dirty := []int{r}
-		zS, err := c.RepairZeta(ctx, zs, dirty, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vS, err := c.RepairVarphi(ctx, vs, dirty, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if zP := zp.Repair(dirty, true); zS != zP {
-			t.Fatalf("step %d: sharded zeta repair %v, pool %v", step, zS, zP)
-		}
-		if vP := vp.Repair(dirty, true); vS != vP {
-			t.Fatalf("step %d: sharded varphi repair %v, pool %v", step, vS, vP)
-		}
-		if want := core.ZetaTol(mShard, 1e-12); zS != want {
-			t.Fatalf("step %d: sharded zeta %v, fresh scan %v", step, zS, want)
-		}
-		if want := core.Varphi(mShard); vS != want {
-			t.Fatalf("step %d: sharded varphi %v, fresh scan %v", step, vS, want)
+	for _, p := range []core.Param{core.ParamZeta, core.ParamVarphi} {
+		for _, k := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v/K=%d", p, k), func(t *testing.T) {
+				mShard := randMatrix(t, n, 7)
+				mPool := mShard.Clone()
+				c, err := shard.New(mShard, 1e-12, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts, err := c.Tracker(ctx, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tp, err := core.NewTracker(ctx, p, mPool, 1e-12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ts.Value() != tp.Value() {
+					t.Fatalf("seeded trackers diverge: %v vs %v", ts.Value(), tp.Value())
+				}
+				// step applies one mutation to both matrices and requires the
+				// sharded repair, the pool repair and a fresh scan to agree.
+				step := func(name string, dirty []int, rowsOnly bool, mutate func(m *core.Matrix)) {
+					t.Helper()
+					mutate(mShard)
+					mutate(mPool)
+					got, err := c.Repair(ctx, ts, dirty, rowsOnly)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := tp.Repair(dirty, rowsOnly); got != want {
+						t.Fatalf("%s: sharded repair %v, pool %v", name, got, want)
+					}
+					if want := fresh[p](mShard); got != want {
+						t.Fatalf("%s: sharded repair %v, fresh scan %v", name, got, want)
+					}
+				}
+				setRow := func(r int, row []float64) func(m *core.Matrix) {
+					return func(m *core.Matrix) {
+						if err := m.SetRow(r, row); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				src := rng.New(99)
+				for i := 0; i < 6; i++ {
+					r := int(src.Uint64() % uint64(n))
+					row := make([]float64, n)
+					for j := range row {
+						if j != r {
+							row[j] = src.Range(0.5, 50)
+						}
+					}
+					step(fmt.Sprintf("row step %d", i), []int{r}, true, setRow(r, row))
+				}
+				// A node move: row and column of one node rewritten.
+				node := 5
+				row, col := make([]float64, n), make([]float64, n)
+				for j := range row {
+					if j != node {
+						row[j], col[j] = src.Range(0.5, 50), src.Range(0.5, 50)
+					}
+				}
+				step("row+column", []int{node}, false, func(m *core.Matrix) {
+					setRow(node, row)(m)
+					for i, v := range col {
+						if i != node {
+							if err := m.Set(i, node, v); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				})
+				// Flatten every row towards the uniform space: the value
+				// falls to its floor, draining the band on the way.
+				for r := 0; r < n; r++ {
+					flat := make([]float64, n)
+					for j := range flat {
+						if j != r {
+							flat[j] = 1
+						}
+					}
+					step(fmt.Sprintf("flatten row %d", r), []int{r}, true, setRow(r, flat))
+				}
+				if ts.Value() != p.Floor() {
+					t.Fatalf("uniform space tracks %v, want the floor %v", ts.Value(), p.Floor())
+				}
+			})
 		}
 	}
 }
@@ -220,8 +255,8 @@ func TestShardedCancellation(t *testing.T) {
 	if _, err := c.Varphi(pre); err != context.Canceled {
 		t.Fatalf("pre-cancelled Varphi err = %v", err)
 	}
-	if _, err := c.ZetaTracker(pre); err != context.Canceled {
-		t.Fatalf("pre-cancelled ZetaTracker err = %v", err)
+	if _, err := c.Tracker(pre, core.ParamZeta); err != context.Canceled {
+		t.Fatalf("pre-cancelled Tracker err = %v", err)
 	}
 
 	ctx, cancel2 := context.WithCancel(context.Background())

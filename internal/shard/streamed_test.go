@@ -98,17 +98,13 @@ func TestStreamedImmutablePhases(t *testing.T) {
 	if !c.Replica().Streamed() {
 		t.Fatal("streamed coordinator's replica does not report Streamed")
 	}
-	if _, err := c.ZetaTracker(ctx); !errors.Is(err, shard.ErrStreamed) {
-		t.Fatalf("ZetaTracker err = %v, want ErrStreamed", err)
+	for _, p := range []core.Param{core.ParamZeta, core.ParamVarphi} {
+		if _, err := c.Tracker(ctx, p); !errors.Is(err, shard.ErrStreamed) {
+			t.Fatalf("%v Tracker err = %v, want ErrStreamed", p, err)
+		}
 	}
-	if _, err := c.VarphiTracker(ctx); !errors.Is(err, shard.ErrStreamed) {
-		t.Fatalf("VarphiTracker err = %v, want ErrStreamed", err)
-	}
-	if _, err := c.RepairZeta(ctx, nil, []int{1}, true); !errors.Is(err, shard.ErrStreamed) {
-		t.Fatalf("RepairZeta err = %v, want ErrStreamed", err)
-	}
-	if _, err := c.RepairVarphi(ctx, nil, []int{1}, true); !errors.Is(err, shard.ErrStreamed) {
-		t.Fatalf("RepairVarphi err = %v, want ErrStreamed", err)
+	if _, err := c.Repair(ctx, nil, []int{1}, true); !errors.Is(err, shard.ErrStreamed) {
+		t.Fatalf("Repair err = %v, want ErrStreamed", err)
 	}
 }
 

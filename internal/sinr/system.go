@@ -88,8 +88,13 @@ func (s *System) Affectances(p Power) *Affectances {
 
 // AffectancesCtx is Affectances with cooperative cancellation of the
 // O(links²) build on a cache miss; a cancelled build caches nothing and
-// returns ctx.Err(). Cache hits never block on ctx.
+// returns ctx.Err(). Cache hits never block on ctx. A power vector sized
+// for another link set — one built before a concurrent link edit — is an
+// error, not an out-of-range read.
 func (s *System) AffectancesCtx(ctx context.Context, p Power) (*Affectances, error) {
+	if len(p) != s.Len() {
+		return nil, fmt.Errorf("sinr: power vector has %d entries for %d links", len(p), s.Len())
+	}
 	fp := powerFingerprint(p)
 	s.affMu.Lock()
 	if a := s.affLookup(fp, p); a != nil {

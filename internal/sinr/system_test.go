@@ -1,6 +1,7 @@
 package sinr
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -191,6 +192,18 @@ func TestAffectanceCacheHit(t *testing.T) {
 	a := sys.Affectances(p1)
 	if b := sys.Affectances(p2); b != a {
 		t.Fatal("equal power vector missed the cache")
+	}
+}
+
+// TestAffectancesRejectMisSizedPower: a power vector sized for another
+// link set — a reader's vector built before a concurrent link edit — is an
+// error, not an out-of-range read.
+func TestAffectancesRejectMisSizedPower(t *testing.T) {
+	sys := lineSystem(t, 6, 2)
+	for _, p := range []Power{UniformPower(sys, 1)[:5], append(UniformPower(sys, 1), 1)} {
+		if a, err := sys.AffectancesCtx(context.Background(), p); err == nil || a != nil {
+			t.Fatalf("%d-entry power for 6 links: (%v, %v), want an error", len(p), a, err)
+		}
 	}
 }
 

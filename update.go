@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"decaynet/internal/core"
 	"decaynet/internal/scenario"
 	"decaynet/internal/sinr"
 )
@@ -296,27 +297,13 @@ func (e *Engine) applyMove(node int) {
 // invalidates and recomputes lazily.
 func (e *Engine) repairMetricity(dirty []int, rowsOnly bool) {
 	z, qm, ok := e.sys.Metricity()
-	if !ok {
-		e.zt = nil // a tracker, if any, is stale alongside the cache
-		e.invalidateShardZeta()
-		return
-	}
 	switch {
+	case !ok:
+		e.dropTracker(core.ParamZeta) // a tracker, if any, is stale alongside the cache
 	case e.analytic > 0:
 		e.sys.SetMetricity(z, qm.PatchedCopy(dirty, rowsOnly))
-	case e.zt != nil:
-		var nz float64
-		if e.coord != nil {
-			// Sharded repair: the tracker patches the shared replica, every
-			// worker re-scans the dirty-incident triplets of its row range,
-			// and the merged band restores the tracked value — bit-identical
-			// to the pool repair. Update carries no context; repairs run to
-			// completion under the session write lock.
-			nz, _ = e.coord.RepairZeta(context.Background(), e.zt, dirty, rowsOnly)
-		} else {
-			nz = e.zt.Repair(dirty, rowsOnly)
-		}
-		if nz == z {
+	case e.trackers[core.ParamZeta] != nil:
+		if nz := e.repairTracker(core.ParamZeta, dirty, rowsOnly); nz == z {
 			e.sys.SetMetricity(z, qm.PatchedCopy(dirty, rowsOnly))
 		} else {
 			e.sys.SetMetricity(nz, nil)
@@ -325,27 +312,9 @@ func (e *Engine) repairMetricity(dirty []int, rowsOnly bool) {
 		// Exact-but-untracked or sampled ζ: invalidate; the next read
 		// recomputes (building the tracker, now that the session is
 		// dynamic, unless it routes through the sampled estimators).
-		e.zt = nil
+		e.dropTracker(core.ParamZeta)
 		e.sys.InvalidateMetricity()
-		e.invalidateShardZeta()
-		e.zetaSamples.Store(0)
 		e.zetaEst.Store(nil)
-	}
-}
-
-// invalidateShardZeta drops the sharding replica's ζ scan state when the
-// session invalidates instead of repairing — the workers must not scan a
-// stale log matrix after the next rebuild.
-func (e *Engine) invalidateShardZeta() {
-	if e.coord != nil {
-		e.coord.Replica().InvalidateZeta()
-	}
-}
-
-// invalidateShardVarphi is invalidateShardZeta's ϕ analogue.
-func (e *Engine) invalidateShardVarphi() {
-	if e.coord != nil {
-		e.coord.Replica().InvalidateVarphi()
 	}
 }
 
@@ -353,23 +322,41 @@ func (e *Engine) invalidateShardVarphi() {
 func (e *Engine) repairPhi(dirty []int, rowsOnly bool) {
 	e.phiMu.Lock()
 	defer e.phiMu.Unlock()
-	if !e.phiOK {
-		e.vt = nil
-		e.invalidateShardVarphi()
-		return
+	switch {
+	case !e.phiOK:
+		e.dropTracker(core.ParamVarphi)
+	case e.trackers[core.ParamVarphi] != nil:
+		e.phi = math.Log2(e.repairTracker(core.ParamVarphi, dirty, rowsOnly))
+	default:
+		e.phiOK = false
+		e.phiEst = nil
+		e.dropTracker(core.ParamVarphi)
 	}
-	if e.vt != nil {
-		if e.coord != nil {
-			v, _ := e.coord.RepairVarphi(context.Background(), e.vt, dirty, rowsOnly)
-			e.phi = math.Log2(v)
-		} else {
-			e.phi = math.Log2(e.vt.Repair(dirty, rowsOnly))
-		}
-		return
+}
+
+// repairTracker repairs p's tracker and returns the new value. Sharded
+// sessions route the repair through the coordinator: the tracker patches
+// the shared replica, every worker re-scans the dirty-incident triplets of
+// its row range, and the merged band restores the tracked value —
+// bit-identical to the pool repair. Update carries no context; repairs
+// run to completion under the session write lock.
+func (e *Engine) repairTracker(p core.Param, dirty []int, rowsOnly bool) float64 {
+	t := e.trackers[p]
+	if e.coord == nil {
+		return t.Repair(dirty, rowsOnly)
 	}
-	e.phiOK = false
-	e.phiEst = nil
-	e.invalidateShardVarphi()
+	v, _ := e.coord.Repair(context.Background(), t, dirty, rowsOnly)
+	return v
+}
+
+// dropTracker discards p's tracker when the session invalidates instead
+// of repairing, along with the sharding replica's scan state — the workers
+// must not scan a stale matrix after the next rebuild.
+func (e *Engine) dropTracker(p core.Param) {
+	e.trackers[p] = nil
+	if e.coord != nil {
+		e.coord.Replica().Invalidate(p)
+	}
 }
 
 // dirtyLinks lists the links whose sender or receiver is a dirty node —
