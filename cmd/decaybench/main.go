@@ -547,6 +547,9 @@ func benchTier(record func(op string, size int, fn func()), space core.Space, n 
 			panic(err)
 		}
 	})
+	if err := benchAffectanceTiered(record); err != nil {
+		return benchResult{}, err
+	}
 	start := time.Now()
 	tb, err := tier.Build(urban.Space, tier.Options{
 		Config: tier.Config{K: 32, Tail: tier.TailModel},
@@ -569,6 +572,35 @@ func benchTier(record func(op string, size int, fn func()), space core.Space, n 
 	fmt.Printf("%-24s n=%-5d %12d ns/op %10d B held (dense %d)\n",
 		row.Op, row.N, row.NsPerOp, row.BytesPerOp, acct.DenseBytes)
 	return row, nil
+}
+
+// affectanceTieredLinks is the link count of the affectance/tiered row.
+const affectanceTieredLinks = 256
+
+// benchAffectanceTiered records affectance/tiered: a cold affectance build
+// over an n=4096 "urban" model-tail space with 256 links. The build reads
+// the L² decays from each sender to each link receiver; one that fills
+// whole n-wide rows again pays 16× the model evaluations, which the
+// threshold gate on this row catches.
+func benchAffectanceTiered(record func(op string, size int, fn func())) error {
+	city, err := scenario.Build("urban", scenario.Config{Nodes: tierBytesN, Links: affectanceTieredLinks, Seed: 7})
+	if err != nil {
+		return err
+	}
+	ts, err := tier.Build(city.Space, tier.Options{
+		Config: tier.Config{K: 32, Tail: tier.TailModel},
+		Points: city.Points,
+	})
+	if err != nil {
+		return err
+	}
+	sys, err := sinr.NewSystem(ts, city.Links, sinr.WithNoise(0.01))
+	if err != nil {
+		return err
+	}
+	p := sinr.UniformPower(sys, 1)
+	record("affectance/tiered", affectanceTieredLinks, func() { sinr.ComputeAffectances(sys, p) })
+	return nil
 }
 
 // benchShardZeta measures the sharded exact ζ scan at n nodes for

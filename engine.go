@@ -32,9 +32,10 @@ import (
 // topology or decay edits under a session version counter, and every
 // cached product repairs itself incrementally instead of rebuilding —
 // affectance matrices patch only the rows and columns of touched links,
-// the quasi-metric rematerializes only mutated rows, and ζ/ϕ re-scan only
-// triplets incident to dirty rows. All methods are safe for concurrent
-// use: reads proceed in parallel and serialize only against Update.
+// a materialized quasi-metric re-derives only mutated rows, and ζ/ϕ
+// re-scan only triplets incident to dirty rows. All methods are safe for
+// concurrent use: reads proceed in parallel and serialize only against
+// Update.
 //
 // The long-running entry points have context.Context-accepting forms
 // (ZetaCtx, PhiCtx, AffectancesCtx, CapacityCtx, ScheduleCtx) with

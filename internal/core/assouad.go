@@ -185,6 +185,7 @@ func DoublingConstant(q *QuasiMetric, maxRadii int) int {
 	if maxRadii <= 0 {
 		maxRadii = 32
 	}
+	q.Freeze() // every distance is read many times
 	n := q.N()
 	worst := 1
 	for x := 0; x < n; x++ {

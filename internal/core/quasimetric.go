@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"decaynet/internal/par"
 )
@@ -17,8 +18,9 @@ type QuasiMetric struct {
 	zeta  float64
 	n     int
 
-	denseOnce sync.Once
-	dense     []float64 // d(i,j) materialized row-major on first use
+	denseOnce    sync.Once
+	dense        []float64   // d(i,j) row-major, once materialized
+	materialized atomic.Bool // dense is set; D reads it from then on
 }
 
 // InduceQuasiMetric computes ζ(D) and returns the induced quasi-metric.
@@ -51,25 +53,25 @@ func (q *QuasiMetric) Space() Space {
 	return q.space
 }
 
-// maxDenseQuasiNodes bounds the spaces whose quasi-distance matrix D
-// materializes implicitly (8192² float64 = 512 MiB). Larger spaces keep
-// the O(1)-memory per-call Pow; an explicit Dense() call still
-// materializes regardless.
+// maxDenseQuasiNodes bounds the spaces Freeze materializes (8192²
+// float64 = 512 MiB). Larger spaces keep the O(1)-memory per-call Pow; an
+// explicit Dense() call still materializes regardless.
 const maxDenseQuasiNodes = 8192
 
-// D returns the quasi-distance d(i, j) = f(i, j)^(1/ζ). For spaces up to
-// maxDenseQuasiNodes nodes, distances are materialized in bulk on first
-// use, so repeated queries (link distances in Algorithm 1's separation
-// tests, packing scans) are flat array loads instead of a Pow per call.
+// D returns the quasi-distance d(i, j) = f(i, j)^(1/ζ): a flat load once
+// the matrix is materialized (Dense, Freeze, a patched copy), else one Pow
+// over the decay, bitwise equal to the materialized entry. D never
+// materializes on its own: link-level callers (Algorithm 1's separation
+// tests, scheduling) read O(links²) distances, not the n² a matrix costs;
+// callers that read most pairs, many times, call Freeze first.
 func (q *QuasiMetric) D(i, j int) float64 {
-	if q.n > maxDenseQuasiNodes {
-		if i == j {
-			return 0
-		}
-		return math.Pow(q.space.F(i, j), 1/q.zeta)
+	if q.materialized.Load() {
+		return q.dense[i*q.n+j]
 	}
-	q.ensureDense()
-	return q.dense[i*q.n+j]
+	if i == j {
+		return 0
+	}
+	return math.Pow(q.space.F(i, j), 1/q.zeta)
 }
 
 // ensureDense materializes the full quasi-distance matrix once: rows are
@@ -95,6 +97,7 @@ func (q *QuasiMetric) ensureDense() {
 			}
 		})
 		q.dense = dense
+		q.materialized.Store(true)
 	})
 }
 
@@ -109,7 +112,7 @@ func (q *QuasiMetric) ensureDense() {
 // untouched, so snapshots handed to earlier callers stay valid.
 func (q *QuasiMetric) PatchedCopy(nodes []int, rowsOnly bool) *QuasiMetric {
 	out := &QuasiMetric{space: q.space, zeta: q.zeta, n: q.n}
-	if q.dense == nil {
+	if !q.materialized.Load() {
 		return out
 	}
 	dense := append([]float64(nil), q.dense...) // alloc without redundant zeroing
@@ -139,6 +142,7 @@ func (q *QuasiMetric) PatchedCopy(nodes []int, rowsOnly bool) *QuasiMetric {
 	}
 	out.dense = dense
 	out.denseOnce.Do(func() {}) // the copy is already materialized
+	out.materialized.Store(true)
 	return out
 }
 

@@ -51,6 +51,34 @@ func TestQuasiMetricAccessors(t *testing.T) {
 	}
 }
 
+// TestQuasiMetricLazyDMatchesDense pins D's two forms to each other: a
+// quasi-metric nobody materialized answers every pair with one Pow,
+// bitwise equal to the entry of the matrix Dense builds, and reading it
+// materializes nothing (link-level callers touch O(links²) pairs, not n²).
+func TestQuasiMetricLazyDMatchesDense(t *testing.T) {
+	m := randomSpace(t, 13, 40, 0.1, 60)
+	lazy := NewQuasiMetric(m, 2.7)
+	dense := NewQuasiMetric(m, 2.7).Dense()
+	n := m.N()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if got, want := lazy.D(i, j), dense[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("lazy D(%d,%d) = %v, materialized %v", i, j, got, want)
+			}
+		}
+	}
+	if lazy.materialized.Load() {
+		t.Fatal("D materialized the distance matrix")
+	}
+	if a := testing.AllocsPerRun(100, func() { lazy.D(3, 7) }); a != 0 {
+		t.Fatalf("lazy D allocates %v times per call", a)
+	}
+	lazy.Freeze()
+	if got, want := lazy.D(3, 7), dense[3*n+7]; got != want {
+		t.Fatalf("frozen D(3,7) = %v, want %v", got, want)
+	}
+}
+
 func TestAsDecaySpace(t *testing.T) {
 	m := randomSpace(t, 7, 5, 0.5, 9)
 	q := InduceQuasiMetric(m)

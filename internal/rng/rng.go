@@ -153,16 +153,18 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 // It is used to attach reproducible randomness (e.g. shadowing) to ordered
 // node pairs without storing per-pair state: the same (seed, i, j) always
 // yields the same stream, and distinct pairs yield independent streams.
-func PairStream(seed uint64, i, j int) *Source {
+// The Source is returned by value so per-pair draws in hot loops stay on
+// the stack; callers that keep a stream take its address.
+func PairStream(seed uint64, i, j int) Source {
 	h := seed
 	h = mix(h ^ (uint64(uint32(i)) + 0x9e3779b97f4a7c15))
 	h = mix(h ^ (uint64(uint32(j)) + 0x7f4a7c159e3779b9))
-	return &Source{state: h}
+	return Source{state: h}
 }
 
 // SymmetricPairStream is PairStream with (i, j) ordered canonically so that
 // (i, j) and (j, i) share a stream. Used for reciprocal channel effects.
-func SymmetricPairStream(seed uint64, i, j int) *Source {
+func SymmetricPairStream(seed uint64, i, j int) Source {
 	if j < i {
 		i, j = j, i
 	}

@@ -108,7 +108,8 @@ func (u *urbanSpace) pair(i, j int) float64 {
 		ln += u.nlosLn
 	}
 	if u.sigmaLn != 0 {
-		ln += u.sigmaLn * rng.SymmetricPairStream(u.seed, i, j).Normal()
+		src := rng.SymmetricPairStream(u.seed, i, j)
+		ln += u.sigmaLn * src.Normal()
 	}
 	if ln > maxLnDecay {
 		ln = maxLnDecay

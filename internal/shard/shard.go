@@ -298,9 +298,9 @@ func (r *Replica) N() int {
 	return r.rows.N()
 }
 
-// rowSource returns the space rows are read from: the dense matrix, or the
-// streamed row source.
-func (r *Replica) rowSource() core.RowSpace {
+// space returns the decay space the replica holds: the dense matrix, or
+// the streamed row source.
+func (r *Replica) space() core.Space {
 	if r.m != nil {
 		return r.m
 	}
@@ -414,22 +414,19 @@ func (w *localWorker) AffectanceRows(ctx context.Context, job AffectanceJob) (Af
 	nLinks := len(job.Factor)
 	lo, hi := job.Links.Lo, job.Links.Hi
 	blk := AffectanceBlock{Lo: lo, Rows: make([]float64, (hi-lo)*nLinks)}
-	src := w.rep.rowSource()
-	nodes := src.N()
-	buf := make([]float64, nodes)
+	src := w.rep.space()
 	for l := lo; l < hi; l++ {
 		if err := ctx.Err(); err != nil {
 			return AffectanceBlock{}, err
 		}
-		src.Row(job.Send[l], buf)
 		out := blk.Rows[(l-lo)*nLinks : (l-lo+1)*nLinks]
-		pw := job.Power[l]
-		for v := 0; v < nLinks; v++ {
+		sl, pw := job.Send[l], job.Power[l]
+		for v, rv := range job.Recv {
 			if v == l {
 				out[v] = 0
 				continue
 			}
-			out[v] = job.Factor[v] * pw / buf[job.Recv[v]]
+			out[v] = job.Factor[v] * pw / src.F(sl, rv)
 		}
 	}
 	return blk, nil

@@ -124,9 +124,9 @@ type Simulator struct {
 	// numbering; nil means "all links, whatever they currently are".
 	targets  [][]int
 	arrOrd   []int64 // per-class arrival ordinals (heap tie-break)
-	arrSrc   []*rng.Source
-	demSrc   []*rng.Source
-	linkSrc  []*rng.Source
+	arrSrc   []rng.Source
+	demSrc   []rng.Source
+	linkSrc  []rng.Source
 	hasDeads bool
 
 	mutations  []scenario.Mutation
@@ -237,9 +237,9 @@ func New(sess Session, cfg Config) (*Simulator, error) {
 
 	// Live mode: derive per-class streams from the spec seed and enqueue
 	// each class's first arrival and the first churn batch.
-	s.arrSrc = make([]*rng.Source, len(sp.Classes))
-	s.demSrc = make([]*rng.Source, len(sp.Classes))
-	s.linkSrc = make([]*rng.Source, len(sp.Classes))
+	s.arrSrc = make([]rng.Source, len(sp.Classes))
+	s.demSrc = make([]rng.Source, len(sp.Classes))
+	s.linkSrc = make([]rng.Source, len(sp.Classes))
 	for c := range sp.Classes {
 		s.arrSrc[c] = rng.PairStream(sp.Seed, c, 1)
 		s.demSrc[c] = rng.PairStream(sp.Seed, c, 2)
@@ -340,7 +340,7 @@ func (s *Simulator) pop() ev {
 // pushArrival samples class c's next interarrival gap after t and enqueues
 // the arrival if it lands within the horizon.
 func (s *Simulator) pushArrival(c int, t float64) {
-	gap := s.spec.Classes[c].Arrival.sample(s.arrSrc[c])
+	gap := s.spec.Classes[c].Arrival.sample(&s.arrSrc[c])
 	if gap < minGap {
 		gap = minGap
 	}
@@ -434,7 +434,7 @@ func (s *Simulator) processArrival(e ev) {
 		}
 		units = 0
 		if link >= 0 {
-			units = cl.Demand.sample(s.demSrc[c])
+			units = cl.Demand.sample(&s.demSrc[c])
 		}
 		deadline = math.Inf(1)
 		if cl.Deadline > 0 {

@@ -4,15 +4,15 @@ import (
 	"context"
 	"math"
 
-	"decaynet/internal/core"
 	"decaynet/internal/par"
 )
 
 // Affectances is the dense pairwise affectance cache for one (system,
 // power) pair: entry (w, v) holds the unclipped a_w(v) of Sec 2.4. It is
-// built row-first through the RowSpace batch contract on the shared worker
-// pool — one space row per sender instead of an interface call per matrix
-// element — and is what the capacity and scheduling algorithms consume.
+// built on the shared worker pool from the decays the links read — f from
+// each sender to each link receiver, L² oracle queries for L links however
+// many nodes the space holds — and is what the capacity and scheduling
+// algorithms consume.
 type Affectances struct {
 	n   int
 	raw []float64 // a_w(v) unclipped, row-major by w; +Inf for dead links
@@ -22,7 +22,8 @@ type Affectances struct {
 //
 // AffectanceRaw(w, v) factors as (c_v·f_vv/P_v) · P_w / f_wv: the first
 // term depends only on v and is hoisted into a per-link vector, after
-// which each row w needs only the decays out of w's sender.
+// which each row w needs only the decays from w's sender to the link
+// receivers.
 func ComputeAffectances(s *System, p Power) *Affectances {
 	a, _ := ComputeAffectancesCtx(context.Background(), s, p)
 	return a
@@ -37,38 +38,49 @@ func ComputeAffectancesCtx(ctx context.Context, s *System, p Power) (*Affectance
 	if n == 0 {
 		return a, ctx.Err()
 	}
-	// factor[v] = c_v · f_vv / P_v  (+Inf when the link cannot meet its
-	// threshold even in isolation, matching NoiseFactor).
-	factor := make([]float64, n)
-	recv := make([]int, n)
-	for v := 0; v < n; v++ {
-		factor[v] = NoiseFactor(s, p, v) * s.Decay(v) / p[v]
-		recv[v] = s.links[v].Receiver
-	}
-	rows := core.Rows(s.space)
-	nodes := rows.N()
+	factor, recv := linkVectors(s, p)
 	err := par.ForChunkedCtx(ctx, n, func(lo, hi int) {
-		buf := make([]float64, nodes)
 		for w := lo; w < hi; w++ {
 			if ctx.Err() != nil {
 				return
 			}
-			rows.Row(s.links[w].Sender, buf)
-			out := a.raw[w*n : (w+1)*n]
-			pw := p[w]
-			for v := 0; v < n; v++ {
-				if v == w {
-					out[v] = 0
-					continue
-				}
-				out[v] = factor[v] * pw / buf[recv[v]]
-			}
+			s.affectanceRow(a.raw[w*n:(w+1)*n], w, p, factor, recv)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// linkVectors returns the per-link inputs of every affectance build:
+// factor[v] = c_v · f_vv / P_v (+Inf when the link cannot meet its
+// threshold even in isolation, matching NoiseFactor) and recv[v], link v's
+// receiver node.
+func linkVectors(s *System, p Power) (factor []float64, recv []int) {
+	n := s.Len()
+	factor = make([]float64, n)
+	recv = make([]int, n)
+	for v := 0; v < n; v++ {
+		factor[v] = NoiseFactor(s, p, v) * s.Decay(v) / p[v]
+		recv[v] = s.links[v].Receiver
+	}
+	return factor, recv
+}
+
+// affectanceRow fills out[v] = a_w(v) for every link v, querying the space
+// only at the link receivers: f(s_w, r_v) through F, which the
+// core.RowSpace contract keeps bitwise equal to the row buffer a full Row
+// read would give.
+func (s *System) affectanceRow(out []float64, w int, p Power, factor []float64, recv []int) {
+	sw, pw := s.links[w].Sender, p[w]
+	for v, rv := range recv {
+		if v == w {
+			out[v] = 0
+			continue
+		}
+		out[v] = factor[v] * pw / s.space.F(sw, rv)
+	}
 }
 
 // PatchAffectances returns a copy of old with the rows and columns of the
@@ -86,25 +98,9 @@ func PatchAffectances(s *System, p Power, old *Affectances, dirty []int) *Affect
 	if n == 0 || len(dirty) == 0 {
 		return a
 	}
-	factor := make([]float64, n)
-	recv := make([]int, n)
-	for v := 0; v < n; v++ {
-		factor[v] = NoiseFactor(s, p, v) * s.Decay(v) / p[v]
-		recv[v] = s.links[v].Receiver
-	}
-	rows := core.Rows(s.space)
-	buf := make([]float64, rows.N())
+	factor, recv := linkVectors(s, p)
 	for _, w := range dirty {
-		rows.Row(s.links[w].Sender, buf)
-		out := a.raw[w*n : (w+1)*n]
-		pw := p[w]
-		for v := 0; v < n; v++ {
-			if v == w {
-				out[v] = 0
-				continue
-			}
-			out[v] = factor[v] * pw / buf[recv[v]]
-		}
+		s.affectanceRow(a.raw[w*n:(w+1)*n], w, p, factor, recv)
 	}
 	for _, v := range dirty {
 		rv := recv[v]

@@ -19,12 +19,9 @@ func ComputeAffectancesSharded(ctx context.Context, s *System, p Power, c *shard
 	if n == 0 {
 		return a, ctx.Err()
 	}
-	factor := make([]float64, n)
-	recv := make([]int, n)
+	factor, recv := linkVectors(s, p)
 	send := make([]int, n)
-	for v := 0; v < n; v++ {
-		factor[v] = NoiseFactor(s, p, v) * s.Decay(v) / p[v]
-		recv[v] = s.links[v].Receiver
+	for v := range send {
 		send[v] = s.links[v].Sender
 	}
 	err := c.AffectanceBlocks(ctx, n, factor, p, recv, send, func(blk shard.AffectanceBlock) {

@@ -53,7 +53,8 @@ func (s *shadowedSpace) F(i, j int) float64 {
 	}
 	ln := s.alpha * math.Log(d)
 	if s.sigmaLn != 0 {
-		ln += s.sigmaLn * rng.SymmetricPairStream(s.seed, i, j).Normal()
+		src := rng.SymmetricPairStream(s.seed, i, j)
+		ln += s.sigmaLn * src.Normal()
 	}
 	if ln > 690 {
 		ln = 690

@@ -107,7 +107,8 @@ func Synthesize(cfg SynthConfig) (*Synth, error) {
 				d = 1e-9 // coincident draws are measure-zero; keep RSSI finite
 			}
 			base := cfg.TXPowerDBm - 10*cfg.Alpha*math.Log10(d)
-			shadow := rng.SymmetricPairStream(cfg.Seed^0x5aad, i, j).Normal() * cfg.ShadowSigmaDB
+			shadowSrc := rng.SymmetricPairStream(cfg.Seed^0x5aad, i, j)
+			shadow := shadowSrc.Normal() * cfg.ShadowSigmaDB
 			pair := rng.PairStream(cfg.Seed^0xa5f3, i, j)
 			asym := pair.Normal() * cfg.AsymSigmaDB
 			for r := 0; r < cfg.Repeats; r++ {

@@ -47,8 +47,8 @@ var ErrTieredImmutable = errors.New("decaynet: tiered sessions are immutable (re
 //   - the dense affectance matrices in the per-power cache patch only the
 //     rows and columns of links incident to a mutated node (link-set edits
 //     flush them instead: new links have no cached power entries),
-//   - the quasi-metric's distance matrix rematerializes only the mutated
-//     rows and columns when ζ is unchanged,
+//   - a materialized quasi-metric distance matrix re-derives only the
+//     mutated rows and columns when ζ is unchanged,
 //   - exact ζ and ϕ re-scan only triplets incident to dirty rows through
 //     the incremental trackers; sampled estimates (WithApproxMetricity)
 //     fall back to lazy re-estimation, as repairing a random estimate is
